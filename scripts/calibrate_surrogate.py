@@ -33,6 +33,7 @@ from rampopt.patterns import ActuationPattern
 from rampopt.plant import (
     SurrogateConfig,
     SurrogatePlant,
+    _column_score_table,
     _column_scores,
     cp_profile,
     default_surrogate_config,
@@ -153,7 +154,7 @@ def single_flip_reachability(config: SurrogateConfig) -> tuple[float, float]:
     the position-mutated elitism stage finish the job from any basin.
     """
     hh, aa = enumerate_column_states()
-    u = _column_scores(config, hh, aa)
+    u = _column_score_table(config)
     umax = u.max()
     ids = {}
     for i in range(len(u)):

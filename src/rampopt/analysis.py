@@ -65,8 +65,9 @@ class PodResult:
     mean_field       : (n,) ensemble average
     modes            : (n, k) orthonormal spatial modes, energy-descending
     coefficients     : (m, k) modal coefficients per snapshot
-    energy_fractions : (k,) eigenvalue / trace, non-increasing
+    energy_fractions : (k,) mode energy / total fluctuation energy, non-increasing
     eigenvalues      : (k,) retained eigenvalues of the temporal correlation
+                       matrix fluct @ fluct.T / m
     """
 
     mean_field: np.ndarray
@@ -85,12 +86,21 @@ class PodResult:
 
 
 def snapshot_pod(snapshots, rel_tol: float = 1e-12) -> PodResult:
-    """Snapshot-method decomposition of an (m, n) ensemble.
+    """Proper orthogonal decomposition of an (m, n) snapshot ensemble.
 
-    The ensemble mean is removed, the m x m temporal correlation matrix is
-    eigendecomposed, and spatial modes are reconstructed from the snapshots.
-    Modes below rel_tol of the leading eigenvalue are dropped; retaining all
-    of them reproduces every snapshot to round-off.
+    The ensemble mean is removed and the fluctuations are factored by a thin
+    SVD, fluct = U S V^T: the modes are the columns of V, the coefficients
+    are U S, and the correlation eigenvalues are S^2 / m.  This replaces the
+    snapshot method (Sirovich 1987), which eigendecomposes the m x m
+    correlation matrix and so squares the amplitudes: a mode whose amplitude
+    lies below about 1e-8 of the leading one loses all its digits in its
+    eigenvalue.
+
+    rel_tol is an amplitude ratio: a mode is kept when its singular value
+    exceeds rel_tol times the leading one, i.e. when its energy exceeds
+    rel_tol**2 of the leading mode's.  Dropped modes then change no snapshot
+    by more than rel_tol times the leading amplitude; retaining all of them
+    reproduces every snapshot to round-off.
     """
     s = np.asarray(snapshots, dtype=float)
     if s.ndim != 2:
@@ -100,36 +110,20 @@ def snapshot_pod(snapshots, rel_tol: float = 1e-12) -> PodResult:
         raise ValueError("need at least 2 snapshots")
     mean = s.mean(axis=0)
     fluct = s - mean
-    corr = (fluct @ fluct.T) / m
-    evals, evecs = np.linalg.eigh(corr)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    # Eigenvalues at the round-off scale of the mean subtraction are noise,
+    u, amplitudes, vt = np.linalg.svd(fluct, full_matrices=False)
+    # Amplitudes at the round-off scale of the mean subtraction are noise,
     # not modes; the floor follows the snapshot magnitude.
-    roundoff = (np.finfo(float).eps * np.abs(s).max(initial=0.0)) ** 2 * s.shape[1]
-    scale = np.abs(evals[0]) if evals.size else 0.0
-    floor = max(rel_tol * scale, roundoff)
-    keep = evals > floor
-    if not keep.any():
-        return PodResult(
-            mean_field=mean,
-            modes=np.zeros((s.shape[1], 0)),
-            coefficients=np.zeros((m, 0)),
-            energy_fractions=np.zeros(0),
-            eigenvalues=np.zeros(0),
-        )
-    evals = evals[keep]
-    evecs = evecs[:, keep]
-    modes = (fluct.T @ evecs) / np.sqrt(m * evals)[None, :]
-    coeffs = fluct @ modes
-    trace = float(np.trace(corr))
+    roundoff = np.finfo(float).eps * np.abs(s).max(initial=0.0) * np.sqrt(s.size)
+    scale = amplitudes[0] if amplitudes.size else 0.0
+    keep = amplitudes > max(rel_tol * scale, roundoff)
+    energies = amplitudes**2
+    total = energies.sum()
     return PodResult(
         mean_field=mean,
-        modes=modes,
-        coefficients=coeffs,
-        energy_fractions=evals / trace,
-        eigenvalues=evals,
+        modes=vt[keep].T,
+        coefficients=u[:, keep] * amplitudes[keep],
+        energy_fractions=energies[keep] / total,
+        eigenvalues=energies[keep] / m,
     )
 
 

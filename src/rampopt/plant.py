@@ -364,6 +364,35 @@ def _column_scores(config: SurrogateConfig, heights: np.ndarray, actives: np.nda
     return u
 
 
+# Column states scored per _column_scores call while building the score
+# table.  Its int64 and float temporaries for all 100,000 states at once
+# would add about 15 MB to the peak memory of every process that evaluates a
+# single command; in blocks of 4,000 the build adds about 2 MB.
+_TABLE_BLOCK = 4000
+
+
+def _column_score_table(config: SurrogateConfig) -> np.ndarray:
+    """Score u_c of every per-column state, in ``enumerate_column_states`` order.
+
+    The state with row heights h_0..h_4 and jet flags a_0..a_4 sits at index
+    H * 32 + A, where H = sum_r h_r * 5^(4-r) and A = sum_r a_r * 2^(4-r).
+    """
+    hh, aa = enumerate_column_states()
+    return np.concatenate([
+        _column_scores(config, hh[i:i + _TABLE_BLOCK], aa[i:i + _TABLE_BLOCK])
+        for i in range(0, len(hh), _TABLE_BLOCK)
+    ])
+
+
+def _ordered_dot(columns: np.ndarray, weights) -> np.ndarray:
+    """sum_j columns[:, j] * weights[j] for an (n, m) block, accumulated left
+    to right so that each row's bits do not depend on the other rows."""
+    acc = columns[:, 0] * weights[0]
+    for j in range(1, len(weights)):
+        acc += columns[:, j] * weights[j]
+    return acc
+
+
 class SurrogatePlant:
     """Calibrated stand-in for the laboratory plant.
 
@@ -397,6 +426,7 @@ class SurrogatePlant:
             kernel[c, c + 1] = 0.5 * gains[c]
         self._span_kernel = kernel
         self._baseline_ja_cache: float | None = None
+        self._score_table: np.ndarray | None = None
 
     # -- core field synthesis ------------------------------------------------
 
@@ -425,12 +455,54 @@ class SurrogatePlant:
         cols = np.arange(N_COLUMNS)
         g = np.exp(-((cols[:, None] - cols[None, :]) ** 2) / (2.0 * self.config.spanwise_sigma**2))
         g /= g.sum(axis=1, keepdims=True)
-        smoothed = intensity @ g.T
+        smoothed = np.stack([_ordered_dot(intensity, g[i]) for i in range(N_COLUMNS)], axis=1)
         return smoothed / (1.0 + self.config.coupling_saturation * np.abs(smoothed))
 
     def _noise(self, seed: int, n: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((self.config.seed, seed)))
         return rng.standard_normal((n, N_TAPS)) * self.config.noise_std
+
+    def _ja_star(self, heights: np.ndarray, actives: np.ndarray, seeds) -> np.ndarray:
+        """Ja* of (n, 30) height/jet blocks with per-row noise seeds, in closed form.
+
+        In the field of ``_tap_cp`` each actuator column c adds 0.5 * g_c *
+        intensity_c to its two flanking tap columns, scaled by the recovery
+        shape.  TapGrid weights are uniform (every TapGrid has w_k =
+        total_area / 42, which this relies on), so integrating that field and
+        normalising by the all-off baseline collapses to
+
+            Ja* = (0 - sum_c g_c * u_c) / sum_c g_c - sum_k w_k * noise_k / baseline_ja()
+
+        with u_c the score of column c's state, gathered from the table of all
+        100,000 column states; the 42-tap field is never built.  With coupling
+        on, u_c are the coupled intensities divided by the intensity scale.
+        Every sum runs in a fixed order over columns or taps, so a row's bits
+        are the same alone, in any batch and through ``fitness``.
+        """
+        heights = np.asarray(heights).reshape(-1, N_ROWS, N_COLUMNS)
+        actives = np.asarray(actives).reshape(-1, N_ROWS, N_COLUMNS)
+        n = heights.shape[0]
+        if self.evaluation_latency > 0:
+            time.sleep(self.evaluation_latency * n)
+        if self._score_table is None:
+            self._score_table = _column_score_table(self.config)
+        # Table index H * 32 + A per column, by Horner's rule over the rows.
+        index = np.zeros((n, N_COLUMNS), dtype=np.int32)
+        for digits, radix in ((heights, 5), (actives, 2)):
+            for r in range(N_ROWS):
+                index *= radix
+                index += digits[:, r]
+        u = self._score_table[index]
+        if self.config.coupling_enabled:
+            u = self._couple_columns(u * self._intensity_scale) / self._intensity_scale
+        gains = self.config.column_gains
+        ja_star = (0.0 - _ordered_dot(u, gains)) / sum(gains)
+        if self.config.noise_std > 0:
+            noise = np.empty((n, N_TAPS))
+            for i, s in enumerate(seeds):
+                noise[i] = self._noise(int(s), 1)[0]
+            ja_star -= _ordered_dot(noise, self.taps.weights) / self.baseline_ja()
+        return ja_star
 
     # -- public evaluation API -------------------------------------------------
 
@@ -453,7 +525,8 @@ class SurrogatePlant:
         """Noiseless cost of the all-off command (the Ja* reference).
 
         Computed through the same field-synthesis path as evaluate() so that
-        the all-off command scores Ja* = 0 exactly, bit for bit.
+        a measurement of the all-off command scores Ja* = 0 exactly, bit for
+        bit.
         """
         if self._baseline_ja_cache is None:
             zeros = np.zeros((1, N_ACTUATORS), dtype=np.int64)
@@ -464,26 +537,11 @@ class SurrogatePlant:
 
     def fitness(self, position: np.ndarray | None, pattern: ActuationPattern, seed: int = 0) -> float:
         """Ja* of one pattern (the continuous position is ignored)."""
-        m = self.evaluate(pattern, seed)
-        return cost_ja_star(cost_ja(m, self.taps), self.baseline_ja())
+        return float(self._ja_star(pattern.heights_array(), pattern.actives_array(), (seed,))[0])
 
     def fitness_batch(self, positions, heights: np.ndarray, actives: np.ndarray, seeds) -> np.ndarray:
         """Vectorized Ja* for (n, 30) height/active blocks with per-row seeds."""
-        heights = np.asarray(heights, dtype=np.int64)
-        actives = np.asarray(actives, dtype=np.int64)
-        n = heights.shape[0]
-        if self.evaluation_latency > 0:
-            time.sleep(self.evaluation_latency * n)
-        cp = self._tap_cp(heights, actives)
-        p = cp * self.flow.dynamic_pressure
-        if self.config.noise_std > 0:
-            noise = np.empty((n, N_TAPS))
-            for i, s in enumerate(seeds):
-                noise[i] = self._noise(int(s), 1)[0]
-            p = p + noise
-        w = self.taps.weights
-        ja = (0.0 - p) @ w
-        return ja / self.baseline_ja() - 1.0
+        return self._ja_star(heights, actives, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -491,9 +549,9 @@ class SurrogatePlant:
 # ---------------------------------------------------------------------------
 
 def enumerate_column_states() -> tuple[np.ndarray, np.ndarray]:
-    """All 5^5 x 2^5 = 100,000 per-column (heights, actives) states."""
-    levels = np.arange(5)
-    jets = np.arange(2)
+    """All 5^5 x 2^5 = 100,000 per-column (heights, actives) states, as int8."""
+    levels = np.arange(5, dtype=np.int8)
+    jets = np.arange(2, dtype=np.int8)
     h = np.stack(np.meshgrid(*[levels] * N_ROWS, indexing="ij"), axis=-1).reshape(-1, N_ROWS)
     a = np.stack(np.meshgrid(*[jets] * N_ROWS, indexing="ij"), axis=-1).reshape(-1, N_ROWS)
     hh = np.repeat(h, a.shape[0], axis=0)
@@ -514,7 +572,7 @@ def oracle_optimum(
     if config.coupling_enabled:
         raise ContractError("oracle requires cross-column coupling disabled")
     hh, aa = enumerate_column_states()
-    scores = _column_scores(config, hh, aa)
+    scores = _column_score_table(config)
     gains = np.asarray(config.column_gains)
     # Per column, best score index; identical tables across columns, but the
     # per-column argmax is computed explicitly against each gain's sign.

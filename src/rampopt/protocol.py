@@ -93,8 +93,9 @@ class ExternalPlant:
     """Client for a plant speaking the wire protocol over a stream socket.
 
     Strictly serial: the client is owned by one logical task and rejects
-    overlapping evaluations.  After a timeout the connection is considered
-    poisoned and must be closed.
+    overlapping evaluations.  After a timeout the late reply may still
+    arrive and would be read as the answer to the next request, so every
+    later use raises ProtocolError; open a new client instead.
     """
 
     supports_concurrent_evaluation = False
@@ -118,6 +119,7 @@ class ExternalPlant:
             raise ProtocolError(f"cannot reach plant at {host}:{port}: {exc}") from exc
         self._reader = self._sock.makefile("r", encoding="ascii", newline="\n")
         self._gate = threading.Lock()
+        self._timed_out = False
         self._baseline_ja: float | None = None
 
     def close(self) -> None:
@@ -137,10 +139,14 @@ class ExternalPlant:
         if not self._gate.acquire(blocking=False):
             raise ConcurrentEvaluationError("an evaluation is already in flight")
         try:
+            if self._timed_out:
+                raise ProtocolError("connection unusable after an earlier timeout; "
+                                    "open a new connection")
             try:
                 self._sock.sendall(encode_request(pattern).encode("ascii"))
                 line = self._reader.readline()
             except (socket.timeout, TimeoutError) as exc:
+                self._timed_out = True
                 raise PlantTimeoutError(f"no response within {self.timeout} s") from exc
             except OSError as exc:
                 raise ProtocolError(f"connection failed: {exc}") from exc
@@ -167,15 +173,17 @@ class PlantServer:
 
     The responder receives the decoded pattern and returns the full response
     line (newline added here).  Raising inside the responder produces an ERR
-    record.
+    record.  Connections are served one at a time, each for as long as the
+    client keeps it open, however long it stays idle.
     """
 
     def __init__(self, responder, host: str = "127.0.0.1", port: int = 0):
         self.responder = responder
         self._server = socket.create_server((host, port))
-        self._server.settimeout(0.2)
         self.address = self._server.getsockname()[:2]
-        self._stop = threading.Event()
+        self._lock = threading.Lock()  # guards _stopping and _conn
+        self._stopping = False
+        self._conn: socket.socket | None = None
         self._thread: threading.Thread | None = None
 
     @property
@@ -192,7 +200,16 @@ class PlantServer:
         return self
 
     def stop(self) -> None:
-        self._stop.set()
+        """Shut the sockets down, which wakes the blocked accept or read, and
+        wait for the serving thread."""
+        with self._lock:
+            self._stopping = True
+            for sock in (self._server, self._conn):
+                if sock is not None:
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:  # not connected, or already shut down
+                        pass
         if self._thread is not None:
             self._thread.join()
         self._server.close()
@@ -204,36 +221,44 @@ class PlantServer:
         self.stop()
 
     def _serve(self) -> None:
-        while not self._stop.is_set():
+        while True:
             try:
                 conn, _ = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # stop() shut the listening socket down
                 return
-            with conn:
-                conn.settimeout(0.2)
-                reader = conn.makefile("r", encoding="ascii", newline="\n")
-                while not self._stop.is_set():
-                    try:
-                        line = reader.readline()
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        break
-                    if not line:
-                        break
-                    try:
-                        pattern = decode_request(line)
-                        reply = self.responder(pattern)
-                    except Exception as exc:
-                        reply = f"ERR {exc}"
-                    if not reply.endswith("\n"):
-                        reply += "\n"
-                    try:
-                        conn.sendall(reply.encode("ascii"))
-                    except OSError:
-                        break
+            with self._lock:
+                if self._stopping:
+                    conn.close()
+                    return
+                self._conn = conn
+            try:
+                self._serve_connection(conn)
+            finally:
+                with self._lock:
+                    self._conn = None
+                conn.close()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer requests until the client closes or stop() shuts it down."""
+        with conn.makefile("r", encoding="ascii", newline="\n") as reader:
+            while True:
+                try:
+                    line = reader.readline()
+                except OSError:
+                    return
+                if not line:
+                    return
+                try:
+                    pattern = decode_request(line)
+                    reply = self.responder(pattern)
+                except Exception as exc:
+                    reply = f"ERR {exc}"
+                if not reply.endswith("\n"):
+                    reply += "\n"
+                try:
+                    conn.sendall(reply.encode("ascii"))
+                except OSError:
+                    return
 
 
 def surrogate_responder(plant):

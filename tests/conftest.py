@@ -24,3 +24,8 @@ def clean_plant(clean_config):
 @pytest.fixture(scope="session")
 def noisy_plant():
     return SurrogatePlant()
+
+
+@pytest.fixture(scope="session")
+def coupled_plant(clean_config):
+    return SurrogatePlant(replace(clean_config, coupling_enabled=True))

@@ -189,6 +189,13 @@ class TestSurrogateBehaviour:
         assert clean_plant.fitness(None, p, 0) == pytest.approx(via_measurement, rel=1e-12, abs=1e-14)
 
     @given(patterns)
+    @settings(max_examples=30)
+    def test_coupled_fitness_matches_measurement_path(self, coupled_plant, p):
+        m = coupled_plant.evaluate(p, 0)
+        via_measurement = cost_ja_star(cost_ja(m, coupled_plant.taps), coupled_plant.baseline_ja())
+        assert coupled_plant.fitness(None, p, 0) == pytest.approx(via_measurement, rel=1e-12, abs=1e-14)
+
+    @given(patterns)
     @settings(max_examples=20)
     def test_column_separability(self, clean_plant, p):
         full = clean_plant.fitness(None, p, 0)
@@ -241,6 +248,46 @@ class TestSurrogateBehaviour:
             )
             single = noisy_plant.fitness(None, p, int(seeds[i]))
             assert batch[i] == pytest.approx(single, rel=1e-12, abs=1e-14)
+
+
+class TestBitIdentity:
+    """A row's J_a* bits do not depend on the batch it is evaluated in."""
+
+    @pytest.mark.parametrize("plant_fixture", ["clean_plant", "noisy_plant"])
+    def test_row_bits_alone_in_batch_and_through_fitness(self, request, plant_fixture):
+        plant = request.getfixturevalue(plant_fixture)
+        rng = np.random.default_rng(12)
+        n = 2000
+        heights = rng.integers(0, 5, size=(n, 30), dtype=np.int8)
+        actives = rng.integers(0, 2, size=(n, 30), dtype=np.int8)
+        seeds = np.arange(n) + 500
+        batch = plant.fitness_batch(None, heights, actives, seeds)
+        alone = np.array([
+            plant.fitness_batch(None, heights[i:i + 1], actives[i:i + 1], seeds[i:i + 1])[0]
+            for i in range(n)
+        ])
+        single = np.array([
+            plant.fitness(None, ActuationPattern(heights=tuple(int(v) for v in heights[i]),
+                                                 actives=tuple(int(v) for v in actives[i])),
+                          int(seeds[i]))
+            for i in range(n)
+        ])
+        middle = plant.fitness_batch(None, heights[700:735].astype(np.int64),
+                                     actives[700:735].astype(np.int64), seeds[700:735])
+        assert alone.tobytes() == batch.tobytes()
+        assert single.tobytes() == batch.tobytes()
+        assert middle.tobytes() == batch[700:735].tobytes()
+
+    @pytest.mark.parametrize("plant_fixture", ["clean_plant", "coupled_plant"])
+    def test_all_off_with_armed_jets_is_positive_zero(self, request, plant_fixture):
+        plant = request.getfixturevalue(plant_fixture)
+        armed = ActuationPattern(heights=(0,) * 30, actives=(1,) * 30)
+        single = plant.fitness(None, armed, 0)
+        batch = plant.fitness_batch(None, np.zeros((3, 30), dtype=np.int8),
+                                    np.ones((3, 30), dtype=np.int8), np.arange(3))
+        for value in (single, *batch):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
 
 
 class TestOracle:
@@ -334,6 +381,8 @@ class TestPlantContract:
         assert taps.n_taps == 42
         assert np.all(taps.weights > 0)
         assert taps.weights.sum() == pytest.approx(taps.total_area, rel=1e-12)
+        # The closed-form J_a* kernel relies on uniform weights.
+        assert np.all(TapGrid(total_area=0.5).weights == 0.5 / 42)
 
     def test_flow_config_validation(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from rampopt.protocol import (
     MalformedResponseError,
     PlantServer,
     PlantTimeoutError,
+    ProtocolError,
     RemoteEvalError,
     decode_request,
     decode_response,
@@ -93,6 +94,41 @@ class TestLoopback:
             with ExternalPlant(server.host, server.port, timeout=0.2) as client:
                 with pytest.raises(PlantTimeoutError):
                     client.evaluate(ActuationPattern.all_off())
+
+    def test_idle_connection_is_still_served(self, clean_plant):
+        with PlantServer(surrogate_responder(clean_plant)) as server:
+            with ExternalPlant(server.host, server.port, timeout=2.0) as client:
+                p = ActuationPattern.from_rows((1,), 4)
+                first = client.fitness(None, p)
+                time.sleep(0.5)
+                assert client.fitness(None, p) == first
+
+    def test_connection_refused_after_timeout(self, clean_plant):
+        line = baseline_responder(clean_plant)(None)
+
+        def slow(pattern):
+            time.sleep(1.0)
+            return line
+
+        with PlantServer(slow) as server:
+            with ExternalPlant(server.host, server.port, timeout=0.2) as client:
+                with pytest.raises(PlantTimeoutError):
+                    client.evaluate(ActuationPattern.all_off())
+                with pytest.raises(ProtocolError, match="earlier timeout"):
+                    client.evaluate(ActuationPattern.all_off())
+                with pytest.raises(ProtocolError, match="earlier timeout"):
+                    client.fitness(None, ActuationPattern.all_off())
+
+    def test_stop_with_client_still_connected(self, clean_plant):
+        server = PlantServer(surrogate_responder(clean_plant)).start()
+        with ExternalPlant(server.host, server.port, timeout=5.0) as client:
+            client.evaluate(ActuationPattern.all_off())
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(5.0)
+            assert not stopper.is_alive()
+            with pytest.raises(ProtocolError):
+                client.evaluate(ActuationPattern.all_off())
 
     def test_responder_exception_becomes_remote_error(self):
         def broken(pattern):
