@@ -14,16 +14,13 @@ from .analysis import Embedding, Envelope, PodResult, classical_mds, learning_en
 from .optimizer import (
     CampaignResult,
     LearningCurve,
-    Particle,
     ParticleClass,
     SwarmConfig,
     classify,
     mutate_elitism,
     run,
     run_campaign,
-    standard_pso_step,
     step,
-    update_particle,
 )
 from .parametric import ParametricCase, StudyResult, generate_cases, run_study
 from .patterns import (
@@ -40,12 +37,10 @@ from .patterns import (
     rescale_for_embedding,
 )
 from .plant import (
-    ConstantPlant,
     ContractError,
     DomainError,
     FlowConfig,
     Measurement,
-    SpherePlant,
     SurrogateConfig,
     SurrogatePlant,
     TapGrid,

@@ -261,7 +261,7 @@ def cmd_optimize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     swarm_config = _swarm_config(args)
     try:
-        campaign = run_campaign(swarm_config, plant, jobs=args.jobs)
+        campaign = run_campaign(swarm_config, plant)
     finally:
         if hasattr(plant, "close"):
             plant.close()
@@ -415,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=35)
     p.add_argument("--algorithm", choices=["pso-tpme", "standard-pso"], default="pso-tpme")
     p.add_argument("--oracle", action="store_true", help="report exact optimum gap (coupling off)")
-    p.add_argument("--jobs", type=int, default=1, help="max concurrent evaluations")
     p.add_argument("--mds-stride", type=int, default=None, help="ledger subsampling stride for the proximity map")
     p.set_defaults(func=cmd_optimize)
 

@@ -9,13 +9,18 @@ standard engine treats every particle as fair and never mutates.
 Classification thresholds use additive spread around the population mean so
 that negative fitness values (the normal regime here, since improvements are
 negative) behave the same as positive ones.
+
+A plant provides ``fitness(position, pattern, seed)``, bit-reproducible for
+identical inputs.  A plant that also provides ``fitness_batch(positions,
+heights, actives, seeds)`` gets each generation's block in one call instead,
+with the same bits per row.  ``discrete_fitness`` (default True) declares
+that fitness depends only on the decoded pattern.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,74 +195,27 @@ def move_and_clamp(
     return clamped, v
 
 
-@dataclass
-class Particle:
-    """Single-particle view used by the per-particle update operations."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    fitness: float
-    pbest_position: np.ndarray
-    pbest_fitness: float
-    label: ParticleClass = ParticleClass.FAIR
-    bad_streak: int = 0
-
-
-def update_particle(
-    p: Particle,
-    gbest_position: np.ndarray,
-    config: SwarmConfig,
-    iteration: int,
-    rng: np.random.Generator,
-    r1: np.ndarray | None = None,
-    r2: np.ndarray | None = None,
-) -> Particle:
-    """Move one labeled particle by its class rule (test-level entry point)."""
-    if r1 is None:
-        r1 = rng.random(p.position.shape)
-    if r2 is None:
-        r2 = rng.random(p.position.shape)
-    w = inertia_weight(config, iteration)
-    v = velocity_rule(
-        np.array([p.label]),
-        p.position[None, :],
-        p.velocity[None, :],
-        p.pbest_position[None, :],
-        gbest_position,
-        w,
-        config.cognitive,
-        config.social,
-        r1[None, :],
-        r2[None, :],
-    )
-    v = clamp_velocity(v, config.bounds, config.velocity_limit)
-    x, v = move_and_clamp(p.position[None, :], v, config.bounds)
-    return replace(p, position=x[0], velocity=v[0])
-
-
 def mutate_elitism(
-    p: Particle,
-    gbest_position: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    overdue: np.ndarray,
+    center: np.ndarray,
     sigma: np.ndarray,
     bounds: PositionBounds,
     rng: np.random.Generator,
-) -> Particle:
-    """Relocate a persistently bad particle near the global best.
+) -> None:
+    """Relocate the overdue (persistently bad) particles next to the elite, in place.
 
-    Position is resampled around gbest with per-coordinate Gaussian scale
-    sigma and clamped to bounds; velocity resets to zero, the bad streak
-    clears, and the personal best is retained.
+    Each row selected by the boolean mask ``overdue`` is resampled around
+    ``center`` with per-coordinate Gaussian scale ``sigma`` and clamped to
+    bounds, and its velocity resets to zero; other rows are untouched.  The
+    k overdue rows draw one (k, 60) block, which equals k sequential
+    60-draws in the stream.  Personal bests are not touched.
     """
-    if p.bad_streak < 1:
-        raise ValueError("mutation requires a persistently bad particle")
-    position = np.clip(gbest_position + rng.standard_normal(gbest_position.shape) * sigma,
-                       bounds.lower, bounds.upper)
-    return replace(
-        p,
-        position=position,
-        velocity=np.zeros_like(p.velocity),
-        bad_streak=0,
-    )
+    rows = np.flatnonzero(overdue)
+    noise = rng.standard_normal((len(rows), N_DIMENSIONS))
+    positions[rows] = np.clip(center + noise * sigma, bounds.lower, bounds.upper)
+    velocities[rows] = 0.0
 
 
 @dataclass
@@ -324,24 +282,12 @@ class Swarm:
         self.gbest_pattern: ActuationPattern | None = None
         self.gbest_iteration = 0
 
-    def particle(self, i: int) -> Particle:
-        return Particle(
-            position=self.positions[i].copy(),
-            velocity=self.velocities[i].copy(),
-            fitness=float(self.fitness[i]),
-            pbest_position=self.pbest_positions[i].copy(),
-            pbest_fitness=float(self.pbest_fitness[i]),
-            label=ParticleClass(int(self.labels[i])),
-            bad_streak=int(self.bad_streaks[i]),
-        )
-
 
 def _evaluate_all(
     plant,
     positions: np.ndarray,
     config: SwarmConfig,
     eval_seeds: np.ndarray,
-    jobs: int = 1,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode and evaluate a position block; returns (fitness, heights, actives).
@@ -364,27 +310,18 @@ def _evaluate_all(
             else:
                 fitness[i] = hit
     if todo:
-        concurrent = getattr(plant, "supports_concurrent_evaluation", False)
-        if hasattr(plant, "fitness_batch") and concurrent:
+        if hasattr(plant, "fitness_batch"):
             idx = np.asarray(todo)
             fitness[idx] = plant.fitness_batch(
                 positions[idx], heights[idx], eff_actives[idx], eval_seeds[idx]
             )
         else:
-            def one(i: int) -> float:
+            for i in todo:
                 pattern = ActuationPattern(
                     heights=tuple(int(v) for v in heights[i]),
                     actives=tuple(int(v) for v in eff_actives[i]),
                 )
-                return plant.fitness(positions[i], pattern, int(eval_seeds[i]))
-
-            if concurrent and jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    for i, val in zip(todo, pool.map(one, todo)):
-                        fitness[i] = val
-            else:
-                for i in todo:
-                    fitness[i] = one(i)
+                fitness[i] = plant.fitness(positions[i], pattern, int(eval_seeds[i]))
         if cache is not None:
             for i in todo:
                 key = (heights[i].tobytes(), eff_actives[i].tobytes())
@@ -393,7 +330,7 @@ def _evaluate_all(
 
 
 def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
-         eval_seed_base: int = 0, jobs: int = 1, cache: dict | None = None):
+         eval_seed_base: int = 0, cache: dict | None = None):
     """One generation: evaluate, update bests, classify, move/mutate.
 
     Returns (fitness, heights, actives, labels) for ledger recording.  The
@@ -402,7 +339,7 @@ def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
     p = config.population
     seeds = eval_seed_base + iteration * p + np.arange(p)
     try:
-        fitness, heights, actives = _evaluate_all(plant, swarm.positions, config, seeds, jobs, cache)
+        fitness, heights, actives = _evaluate_all(plant, swarm.positions, config, seeds, cache)
     except EvaluationError:
         raise
     except Exception as exc:  # surface the cause with iteration context
@@ -452,27 +389,15 @@ def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
             center = pattern_to_position(swarm.gbest_pattern)
         else:
             center = swarm.gbest_position
-        for i in np.flatnonzero(overdue):
-            new_pos[i] = np.clip(
-                center + swarm.rng.standard_normal(N_DIMENSIONS) * sigma,
-                config.bounds.lower, config.bounds.upper,
-            )
-            new_v[i] = 0.0
-            swarm.bad_streaks[i] = 0
+        mutate_elitism(new_pos, new_v, overdue, center, sigma, config.bounds, swarm.rng)
+        swarm.bad_streaks[overdue] = 0
     swarm.positions = new_pos
     swarm.velocities = new_v
     return fitness, heights, actives, labels
 
 
-def standard_pso_step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
-                      eval_seed_base: int = 0, jobs: int = 1, cache: dict | None = None):
-    """One generation with every particle treated as fair and no elitism."""
-    return step(swarm, plant, replace(config, algorithm="standard-pso"),
-                iteration, eval_seed_base, jobs, cache)
-
-
 def run(plant, config: SwarmConfig, run_seed: np.random.SeedSequence | int,
-        jobs: int = 1, run_index: int | None = None) -> LearningCurve:
+        run_index: int | None = None) -> LearningCurve:
     """One full optimization from a dedicated seed; records the ledger."""
     if isinstance(run_seed, (int, np.integer)):
         run_seed = np.random.SeedSequence(int(run_seed))
@@ -489,7 +414,7 @@ def run(plant, config: SwarmConfig, run_seed: np.random.SeedSequence | int,
     for t in range(1, it + 1):
         try:
             fitness, heights, actives, labels = step(
-                swarm, plant, config, t, eval_seed_base, jobs, cache)
+                swarm, plant, config, t, eval_seed_base, cache)
         except EvaluationError as exc:
             exc.run_index = run_index
             raise
@@ -518,14 +443,14 @@ def run(plant, config: SwarmConfig, run_seed: np.random.SeedSequence | int,
     )
 
 
-def run_campaign(config: SwarmConfig, plant, jobs: int = 1) -> CampaignResult:
+def run_campaign(config: SwarmConfig, plant) -> CampaignResult:
     """Independent runs from counter-derived sub-seeds, plus their envelope."""
     master = np.random.SeedSequence(config.seed)
     children = master.spawn(config.independent_runs)
     curves = []
     for k, child in enumerate(children):
         try:
-            curves.append(run(plant, config, child, jobs, run_index=k))
+            curves.append(run(plant, config, child, run_index=k))
         except EvaluationError as exc:
             raise EvaluationError(f"run {k}: {exc}", run_index=k, iteration=exc.iteration) from exc
     stack = np.stack([c.best_so_far for c in curves])

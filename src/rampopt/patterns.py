@@ -203,7 +203,7 @@ class PositionBounds:
         return self.upper - self.lower
 
 
-DEFAULT_BOUNDS: PositionBounds | None = None  # set below, after decode_position exists
+DEFAULT_BOUNDS: PositionBounds | None = None  # set below, after decode_positions exists
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -213,16 +213,12 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 def decode_position(position, bounds: PositionBounds | None = None) -> ActuationPattern:
     """Clamp a continuous 60-vector to its bounds and round to the nearest level."""
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS
     x = np.asarray(position, dtype=float)
     if x.shape != (N_DIMENSIONS,):
         raise EncodingError(f"position must have length {N_DIMENSIONS}, got shape {x.shape}")
-    clamped = np.clip(x, bounds.lower, bounds.upper)
-    rounded = round_half_away(clamped).astype(int)
-    heights = np.clip(rounded[:N_ACTUATORS], HEIGHT_LEVELS[0], HEIGHT_LEVELS[-1])
-    actives = np.clip(rounded[N_ACTUATORS:], 0, 1)
-    return ActuationPattern(heights=tuple(int(h) for h in heights), actives=tuple(int(a) for a in actives))
+    heights, actives = decode_positions(x[None, :], bounds)
+    return ActuationPattern(heights=tuple(int(h) for h in heights[0]),
+                            actives=tuple(int(a) for a in actives[0]))
 
 
 def decode_positions(positions: np.ndarray, bounds: PositionBounds | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -263,9 +259,7 @@ def rescale_for_embedding(p: ActuationPattern) -> np.ndarray:
 
     Height levels {0..4} map affinely to [-1, 1]; jet flags map to {-1, +1}.
     """
-    h = p.heights_array() / (HEIGHT_LEVELS[-1] / 2.0) - 1.0
-    a = p.actives_array() * 2.0 - 1.0
-    return np.concatenate([h, a])
+    return rescale_many(p.heights_array()[None, :], p.actives_array()[None, :])[0]
 
 
 def rescale_many(heights: np.ndarray, actives: np.ndarray) -> np.ndarray:

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -170,28 +168,6 @@ def cost_ja_star(ja: float, ja_baseline: float) -> float:
 def cp_profile(m: Measurement, flow: FlowConfig) -> np.ndarray:
     """Pressure coefficient (p - p0) / q per tap, station-major order."""
     return (m.pressure_array() - m.freestream_pressure) / flow.dynamic_pressure
-
-
-@runtime_checkable
-class PlantEvaluator(Protocol):
-    """What the optimizer requires of a plant.
-
-    supports_concurrent_evaluation : particle evaluations within one
-        generation may run concurrently only when this is True
-    discrete_fitness : True when fitness depends only on the decoded
-        pattern (constant over each rounding basin)
-    evaluation_latency : simulated seconds per evaluation
-
-    Given identical inputs, fitness must be bit-reproducible.
-    """
-
-    supports_concurrent_evaluation: bool
-    discrete_fitness: bool
-    evaluation_latency: float
-
-    def fitness(self, position, pattern: ActuationPattern, seed: int = 0) -> float:
-        """Scalar cost of one command; lower is better."""
-        ...
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +376,6 @@ class SurrogatePlant:
     produce identical bits.  Safe for unrestricted concurrent use.
     """
 
-    supports_concurrent_evaluation = True
     discrete_fitness = True  # fitness depends only on the decoded pattern
 
     def __init__(
@@ -408,12 +383,10 @@ class SurrogatePlant:
         config: SurrogateConfig | None = None,
         flow: FlowConfig | None = None,
         taps: TapGrid | None = None,
-        evaluation_latency: float = 0.0,
     ):
         self.config = config if config is not None else default_surrogate_config()
         self.flow = flow if flow is not None else FlowConfig()
         self.taps = taps if taps is not None else TapGrid()
-        self.evaluation_latency = evaluation_latency
         shape = np.asarray(self.config.recovery_shape)
         gains = np.asarray(self.config.column_gains)
         # Intensity scale makes a spanwise-uniform score u produce Ja* = -u.
@@ -482,8 +455,6 @@ class SurrogatePlant:
         heights = np.asarray(heights).reshape(-1, N_ROWS, N_COLUMNS)
         actives = np.asarray(actives).reshape(-1, N_ROWS, N_COLUMNS)
         n = heights.shape[0]
-        if self.evaluation_latency > 0:
-            time.sleep(self.evaluation_latency * n)
         if self._score_table is None:
             self._score_table = _column_score_table(self.config)
         # Table index H * 32 + A per column, by Horner's rule over the rows.
@@ -508,8 +479,6 @@ class SurrogatePlant:
 
     def evaluate(self, pattern: ActuationPattern, seed: int = 0) -> Measurement:
         """Evaluate one pattern; deterministic per (pattern, seed)."""
-        if self.evaluation_latency > 0:
-            time.sleep(self.evaluation_latency)
         eff = effective_pattern(pattern)
         cp = self._tap_cp(eff.heights_array()[None, :], eff.actives_array()[None, :])[0]
         p = cp * self.flow.dynamic_pressure
@@ -591,43 +560,3 @@ def oracle_optimum(
         actives=tuple(int(v) for v in actives.reshape(-1)),
     )
     return pattern, float(ja_star)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic benchmark plants for optimizer validation
-# ---------------------------------------------------------------------------
-
-class SpherePlant:
-    """Separable quadratic on the continuous position, rescaled to [-1, 1]^60.
-
-    Minimum 0 at the centre of the bounds; used to validate optimizer
-    convergence independently of the surrogate.
-    """
-
-    supports_concurrent_evaluation = True
-    evaluation_latency = 0.0
-    discrete_fitness = False
-
-    def __init__(self, bounds=None):
-        from .patterns import DEFAULT_BOUNDS
-
-        self.bounds = bounds if bounds is not None else DEFAULT_BOUNDS
-
-    def fitness(self, position: np.ndarray, pattern: ActuationPattern, seed: int = 0) -> float:
-        x = np.asarray(position, dtype=float)
-        scaled = 2.0 * (x - self.bounds.lower) / self.bounds.range - 1.0
-        return float(np.dot(scaled, scaled))
-
-
-class ConstantPlant:
-    """Every pattern scores the same value; degenerate classification case."""
-
-    supports_concurrent_evaluation = True
-    evaluation_latency = 0.0
-    discrete_fitness = True
-
-    def __init__(self, value: float = 1.0):
-        self.value = value
-
-    def fitness(self, position, pattern: ActuationPattern, seed: int = 0) -> float:
-        return self.value

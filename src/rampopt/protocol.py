@@ -98,8 +98,6 @@ class ExternalPlant:
     later use raises ProtocolError; open a new client instead.
     """
 
-    supports_concurrent_evaluation = False
-    evaluation_latency = 0.0
     discrete_fitness = True
 
     def __init__(

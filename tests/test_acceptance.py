@@ -16,8 +16,6 @@ from rampopt.cli import main
 from rampopt.optimizer import ParticleClass, SwarmConfig, run, run_campaign
 from rampopt.patterns import ActuationPattern
 from rampopt.plant import (
-    ConstantPlant,
-    SpherePlant,
     SurrogatePlant,
     default_surrogate_config,
     oracle_optimum,
@@ -33,6 +31,7 @@ from rampopt.protocol import (
     surrogate_responder,
 )
 
+from plants import ConstantPlant, SpherePlant
 from test_analysis import planted_configuration, procrustes_residual
 
 

@@ -1,25 +1,29 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rampopt.optimizer import (
     EvaluationError,
-    Particle,
     ParticleClass,
     Swarm,
     SwarmConfig,
+    clamp_velocity,
     classify,
     inertia_weight,
+    move_and_clamp,
     mutate_elitism,
     mutation_scale,
     run,
     run_campaign,
-    standard_pso_step,
     step,
-    update_particle,
+    velocity_rule,
 )
 from rampopt.patterns import DEFAULT_BOUNDS, N_DIMENSIONS
-from rampopt.plant import ConstantPlant, SpherePlant, SurrogatePlant
+from rampopt.plant import SurrogatePlant
+
+from plants import ConstantPlant, SpherePlant
 
 
 def small_config(**kw):
@@ -57,18 +61,17 @@ class TestClassify:
             classify(np.array([1.0, np.inf, 0.0]), 0.5)
 
 
-def make_particle(position=None, velocity=None, label=ParticleClass.FAIR, streak=0):
-    x = np.zeros(N_DIMENSIONS) if position is None else position
-    v = np.zeros(N_DIMENSIONS) if velocity is None else velocity
-    return Particle(
-        position=x.copy(),
-        velocity=v.copy(),
-        fitness=1.0,
-        pbest_position=x.copy(),
-        pbest_fitness=1.0,
-        label=label,
-        bad_streak=streak,
-    )
+def update(label, x, v, pbest, gbest, config, r1=None, r2=None):
+    """Move one particle through the kernels that ``step`` runs on the whole swarm."""
+    rng = np.random.default_rng(0)
+    r1 = rng.random(N_DIMENSIONS) if r1 is None else r1
+    r2 = rng.random(N_DIMENSIONS) if r2 is None else r2
+    v = velocity_rule(np.array([label]), x[None, :], v[None, :], pbest[None, :], gbest,
+                      inertia_weight(config, 1), config.cognitive, config.social,
+                      r1[None, :], r2[None, :])
+    v = clamp_velocity(v, config.bounds, config.velocity_limit)
+    x, v = move_and_clamp(x[None, :], v, config.bounds)
+    return x[0], v[0]
 
 
 class TestUpdateParticle:
@@ -76,88 +79,120 @@ class TestUpdateParticle:
     def test_stationary_fixed_point(self, label):
         config = small_config()
         x = np.full(N_DIMENSIONS, 1.0)
-        p = make_particle(position=x, label=label)
-        rng = np.random.default_rng(0)
-        out = update_particle(p, x.copy(), config, 1, rng)
-        assert np.array_equal(out.position, x)
-        assert np.array_equal(out.velocity, np.zeros(N_DIMENSIONS))
+        pos, vel = update(label, x.copy(), np.zeros(N_DIMENSIONS), x.copy(), x.copy(), config)
+        assert np.array_equal(pos, x)
+        assert np.array_equal(vel, np.zeros(N_DIMENSIONS))
 
     def test_good_particle_moves_toward_pbest(self):
         config = small_config(inertia_start=0.0, inertia_end=0.0)
-        p = make_particle(label=ParticleClass.GOOD)
-        p.position = np.full(N_DIMENSIONS, 1.0)
-        p.velocity = np.zeros(N_DIMENSIONS)
-        p.pbest_position = np.full(N_DIMENSIONS, 0.2)
-        rng = np.random.default_rng(0)
+        x = np.full(N_DIMENSIONS, 1.0)
+        pbest = np.full(N_DIMENSIONS, 0.2)
         ones = np.ones(N_DIMENSIONS)
-        out = update_particle(p, np.full(N_DIMENSIONS, 4.0), config, 1, rng, r1=ones, r2=ones)
+        pos, _ = update(ParticleClass.GOOD, x, np.zeros(N_DIMENSIONS), pbest,
+                        np.full(N_DIMENSIONS, 4.0), config, r1=ones, r2=ones)
         # w=0, r1=1: step is c1*(pbest - x), capped by the velocity limit.
         expected_step = np.maximum(
-            config.cognitive * (p.pbest_position - p.position),
+            config.cognitive * (pbest - x),
             -config.velocity_limit * config.bounds.range,
         )
-        assert out.position == pytest.approx(p.position + expected_step)
+        assert pos == pytest.approx(x + expected_step)
         # gbest plays no role for good particles
-        out2 = update_particle(p, np.full(N_DIMENSIONS, -4.0), config, 1, rng, r1=ones, r2=ones)
-        assert np.array_equal(out.position, out2.position)
+        pos2, _ = update(ParticleClass.GOOD, x, np.zeros(N_DIMENSIONS), pbest,
+                         np.full(N_DIMENSIONS, -4.0), config, r1=ones, r2=ones)
+        assert np.array_equal(pos, pos2)
 
     def test_bad_particle_ignores_pbest_and_doubles_social(self):
         config = small_config(inertia_start=0.0, inertia_end=0.0, velocity_limit=10.0)
-        p = make_particle(label=ParticleClass.BAD)
-        p.pbest_position = np.full(N_DIMENSIONS, -0.4)
+        x = np.zeros(N_DIMENSIONS)
         gbest = np.full(N_DIMENSIONS, 1.0)
         ones = np.ones(N_DIMENSIONS)
-        out = update_particle(p, gbest, config, 1, np.random.default_rng(0), r1=ones, r2=ones)
+        pos, _ = update(ParticleClass.BAD, x, np.zeros(N_DIMENSIONS),
+                        np.full(N_DIMENSIONS, -0.4), gbest, config, r1=ones, r2=ones)
         expected = np.clip(
-            2.0 * config.social * (gbest - p.position),
+            2.0 * config.social * (gbest - x),
             DEFAULT_BOUNDS.lower,
             DEFAULT_BOUNDS.upper,
         )
-        assert out.position == pytest.approx(expected)
+        assert pos == pytest.approx(expected)
 
     def test_clamped_coordinate_zeroes_velocity(self):
         config = small_config(inertia_start=1.0, inertia_end=1.0, velocity_limit=10.0)
-        p = make_particle(label=ParticleClass.FAIR)
-        p.velocity = np.zeros(N_DIMENSIONS)
-        p.velocity[0] = 100.0
-        out = update_particle(p, p.position.copy(), config, 1, np.random.default_rng(0))
-        assert out.position[0] == config.bounds.upper[0]
-        assert out.velocity[0] == 0.0
+        x = np.zeros(N_DIMENSIONS)
+        v = np.zeros(N_DIMENSIONS)
+        v[0] = 100.0
+        pos, vel = update(ParticleClass.FAIR, x, v, x.copy(), x.copy(), config)
+        assert pos[0] == config.bounds.upper[0]
+        assert vel[0] == 0.0
+
+
+def swarm_block(rows=5, seed=0):
+    rng = np.random.default_rng(seed)
+    lo, hi = DEFAULT_BOUNDS.lower, DEFAULT_BOUNDS.upper
+    return lo + rng.random((rows, N_DIMENSIONS)) * (hi - lo), rng.normal(size=(rows, N_DIMENSIONS))
 
 
 class TestMutateElitism:
     def test_zero_scale_relocates_exactly_onto_gbest(self):
-        p = make_particle(label=ParticleClass.BAD, streak=3)
+        positions, velocities = swarm_block()
+        overdue = np.array([False, True, False, True, False])
         gbest = np.full(N_DIMENSIONS, 1.25)
-        out = mutate_elitism(p, gbest, np.zeros(N_DIMENSIONS), DEFAULT_BOUNDS, np.random.default_rng(0))
-        assert np.array_equal(out.position, gbest)
-        assert np.all(out.velocity == 0.0)
-        assert out.bad_streak == 0
-        assert out.pbest_fitness == p.pbest_fitness  # personal best retained
+        mutate_elitism(positions, velocities, overdue, gbest, np.zeros(N_DIMENSIONS),
+                       DEFAULT_BOUNDS, np.random.default_rng(0))
+        assert np.array_equal(positions[overdue], np.stack([gbest, gbest]))
+        assert np.all(velocities[overdue] == 0.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_relocation_stays_in_bounds(self, seed):
-        p = make_particle(label=ParticleClass.BAD, streak=1)
-        gbest = DEFAULT_BOUNDS.upper.copy()
+        positions, velocities = swarm_block()
         sigma = np.full(N_DIMENSIONS, 5.0)
-        out = mutate_elitism(p, gbest, sigma, DEFAULT_BOUNDS, np.random.default_rng(seed))
-        assert np.all(out.position >= DEFAULT_BOUNDS.lower)
-        assert np.all(out.position <= DEFAULT_BOUNDS.upper)
+        mutate_elitism(positions, velocities, np.ones(5, dtype=bool), DEFAULT_BOUNDS.upper.copy(),
+                       sigma, DEFAULT_BOUNDS, np.random.default_rng(seed))
+        assert np.all(positions >= DEFAULT_BOUNDS.lower)
+        assert np.all(positions <= DEFAULT_BOUNDS.upper)
 
     def test_reproducible_for_fixed_seed(self):
-        p = make_particle(label=ParticleClass.BAD, streak=1)
-        gbest = np.zeros(N_DIMENSIONS)
+        overdue = np.array([True, False, True, True, False])
         sigma = np.full(N_DIMENSIONS, 0.3)
-        a = mutate_elitism(p, gbest, sigma, DEFAULT_BOUNDS, np.random.default_rng(9))
-        b = mutate_elitism(p, gbest, sigma, DEFAULT_BOUNDS, np.random.default_rng(9))
-        assert np.array_equal(a.position, b.position)
+        a, va = swarm_block()
+        b, vb = swarm_block()
+        mutate_elitism(a, va, overdue, np.zeros(N_DIMENSIONS), sigma, DEFAULT_BOUNDS,
+                       np.random.default_rng(9))
+        mutate_elitism(b, vb, overdue, np.zeros(N_DIMENSIONS), sigma, DEFAULT_BOUNDS,
+                       np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
-    def test_requires_bad_streak(self):
-        p = make_particle(streak=0)
-        with pytest.raises(ValueError):
-            mutate_elitism(p, np.zeros(N_DIMENSIONS), np.zeros(N_DIMENSIONS),
-                           DEFAULT_BOUNDS, np.random.default_rng(0))
+    @pytest.mark.parametrize("overdue", [[False] * 5, [True, False, False, True, False]],
+                             ids=["none_overdue", "some_overdue"])
+    def test_rows_not_overdue_are_unchanged(self, overdue):
+        overdue = np.array(overdue)
+        positions, velocities = swarm_block()
+        before_x, before_v = positions.copy(), velocities.copy()
+        rng = np.random.default_rng(4)
+        mutate_elitism(positions, velocities, overdue, np.zeros(N_DIMENSIONS),
+                       np.full(N_DIMENSIONS, 0.3), DEFAULT_BOUNDS, rng)
+        kept = ~overdue
+        assert positions[kept].tobytes() == before_x[kept].tobytes()
+        assert velocities[kept].tobytes() == before_v[kept].tobytes()
+        if not overdue.any():  # nothing to relocate draws nothing
+            assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=5, max_size=5))
+    @settings(max_examples=50)
+    def test_block_draw_equals_sequential_draws(self, seed, mask):
+        overdue = np.array(mask)
+        center = np.full(N_DIMENSIONS, 2.0)
+        sigma = mutation_scale(small_config(), 1)
+        positions, velocities = swarm_block(seed=1)
+        block_rng = np.random.default_rng(seed)
+        mutate_elitism(positions, velocities, overdue, center, sigma, DEFAULT_BOUNDS, block_rng)
+        expected, _ = swarm_block(seed=1)
+        seq_rng = np.random.default_rng(seed)
+        for i in np.flatnonzero(overdue):
+            expected[i] = np.clip(center + seq_rng.standard_normal(N_DIMENSIONS) * sigma,
+                                  DEFAULT_BOUNDS.lower, DEFAULT_BOUNDS.upper)
+        assert positions.tobytes() == expected.tobytes()
+        assert block_rng.bit_generator.state == seq_rng.bit_generator.state
 
 
 class TestSchedules:
@@ -216,6 +251,21 @@ class TestStep:
             seen = np.minimum(seen, fitness)
             assert np.array_equal(swarm.pbest_fitness, seen)
 
+    @pytest.mark.parametrize("patience", [1, 2])
+    def test_relocated_particles_restart_their_bad_streak(self, patience):
+        config = small_config(patience=patience)
+        swarm = Swarm(config, np.random.default_rng(3))
+        plant = SurrogatePlant()
+        relocated = 0
+        for t in range(1, 13):
+            before = swarm.bad_streaks.copy()
+            _, _, _, labels = step(swarm, plant, config, t)
+            overdue = (labels == ParticleClass.BAD) & (before + 1 >= patience)
+            relocated += int(overdue.sum())
+            assert np.all(swarm.bad_streaks[overdue] == 0)
+            assert np.all(swarm.bad_streaks < patience)
+        assert relocated > 0
+
     def test_constant_plant_makes_tpme_equal_standard(self):
         # All-fair classification and no mutations: the two engines coincide.
         config = small_config(seed=5)
@@ -226,14 +276,12 @@ class TestStep:
         std = Swarm(config, rng_b)
         for t in range(1, 6):
             step(tpme, plant, config, t)
-            standard_pso_step(std, plant, config, t)
+            step(std, plant, replace(config, algorithm="standard-pso"), t)
         assert np.array_equal(tpme.positions, std.positions)
         assert np.array_equal(tpme.velocities, std.velocities)
 
     def test_evaluation_errors_carry_iteration(self):
         class Broken:
-            supports_concurrent_evaluation = False
-
             def fitness(self, position, pattern, seed):
                 raise RuntimeError("boom")
 
@@ -285,6 +333,22 @@ class TestRun:
         assert np.array_equal(a.ledger.heights, b.ledger.heights)
         assert np.array_equal(a.best_so_far, b.best_so_far)
 
+    @pytest.mark.parametrize("plant_name", ["clean_plant", "noisy_plant"])
+    def test_serial_path_matches_batch_path(self, request, plant_name):
+        # A plant without fitness_batch is evaluated one pattern at a time.
+        plant = request.getfixturevalue(plant_name)
+
+        class Serial:
+            def fitness(self, position, pattern, seed):
+                return plant.fitness(position, pattern, seed)
+
+        config = small_config(population=35, iterations=60)
+        batch = run(plant, config, 5)
+        serial = run(Serial(), config, 5)
+        assert serial.ledger.fitness.tobytes() == batch.ledger.fitness.tobytes()
+        assert np.array_equal(serial.ledger.heights, batch.ledger.heights)
+        assert np.array_equal(serial.ledger.actives, batch.ledger.actives)
+
 
 class TestCampaign:
     def test_fixed_seed_reproducibility(self):
@@ -313,7 +377,6 @@ class TestCampaign:
 
     def test_run_errors_carry_run_index(self):
         class FailsLate:
-            supports_concurrent_evaluation = False
             calls = 0
 
             def fitness(self, position, pattern, seed):
@@ -325,16 +388,3 @@ class TestCampaign:
         with pytest.raises(EvaluationError) as err:
             run_campaign(small_config(iterations=3), FailsLate())
         assert err.value.run_index is not None
-
-    def test_concurrent_jobs_match_serial(self, clean_plant):
-        class NoBatch:
-            supports_concurrent_evaluation = True
-            discrete_fitness = True
-
-            def fitness(self, position, pattern, seed):
-                return clean_plant.fitness(position, pattern, seed)
-
-        config = small_config(iterations=8)
-        serial = run(NoBatch(), config, 5, jobs=1)
-        threaded = run(NoBatch(), config, 5, jobs=4)
-        assert np.array_equal(serial.best_so_far, threaded.best_so_far)

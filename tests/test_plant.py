@@ -364,9 +364,7 @@ class TestConfigRoundTrip:
 
 class TestPlantContract:
     def test_capability_flags(self, clean_plant):
-        assert clean_plant.supports_concurrent_evaluation is True
         assert clean_plant.discrete_fitness is True
-        assert clean_plant.evaluation_latency == 0.0
 
     def test_measurement_validation(self):
         with pytest.raises(ValueError):

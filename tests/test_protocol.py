@@ -164,4 +164,5 @@ class TestLoopback:
     def test_client_declares_serial_evaluation(self, clean_plant):
         with PlantServer(baseline_responder(clean_plant)) as server:
             with ExternalPlant(server.host, server.port) as client:
-                assert client.supports_concurrent_evaluation is False
+                # No batch entry point: the optimizer sends one pattern at a time.
+                assert not hasattr(client, "fitness_batch")
