@@ -183,7 +183,7 @@ def cmd_parametric(args) -> int:
     )
     outputs = ["config.json", "study.csv", "scatter.csv", "best_cases.txt"]
     RunManifest(
-        command="parametric", argv=sys.argv[1:], config_digest=_digest(config_path),
+        command="parametric", argv=args.argv, config_digest=_digest(config_path),
         master_seed=args.seed, started_at=started, finished_at=_timestamp(),
         tool_version=__version__, outputs=outputs,
     ).write(out / "manifest.json")
@@ -293,7 +293,7 @@ def cmd_optimize(args) -> int:
         outputs.append("oracle.txt")
         print(f"oracle Ja*: {opt:.4f}  gaps: {[f'{g:.3%}' for g in gaps]}")
     RunManifest(
-        command="optimize", argv=sys.argv[1:], config_digest=_digest(config_path),
+        command="optimize", argv=args.argv, config_digest=_digest(config_path),
         master_seed=args.seed, started_at=started, finished_at=_timestamp(),
         tool_version=__version__, outputs=outputs,
     ).write(out / "manifest.json")
@@ -435,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)  # recorded in manifests
     try:
         return args.func(args)
     except (EncodingError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -82,11 +82,14 @@ def decode_response(line: str) -> Measurement:
         raise DimensionMismatchError(
             f"expected {N_TAPS} tap pressures plus p0, got {len(values)} values"
         )
-    return Measurement(
-        mean_pressure=tuple(values[:N_TAPS]),
-        freestream_pressure=values[N_TAPS],
-        sample_count=1,
-    )
+    try:
+        return Measurement(
+            mean_pressure=tuple(values[:N_TAPS]),
+            freestream_pressure=values[N_TAPS],
+            sample_count=1,
+        )
+    except ValueError as exc:  # nan or inf pressures
+        raise MalformedResponseError(f"invalid measurement in response: {exc}") from None
 
 
 class ExternalPlant:
@@ -237,8 +240,12 @@ class PlantServer:
                 conn.close()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        """Answer requests until the client closes or stop() shuts it down."""
-        with conn.makefile("r", encoding="ascii", newline="\n") as reader:
+        """Answer requests until the client closes or stop() shuts it down.
+
+        A request that is not ASCII, a responder that raises and a reply that
+        is not ASCII text each get one ERR line; the connection stays served.
+        """
+        with conn.makefile("rb") as reader:
             while True:
                 try:
                     line = reader.readline()
@@ -247,14 +254,15 @@ class PlantServer:
                 if not line:
                     return
                 try:
-                    pattern = decode_request(line)
-                    reply = self.responder(pattern)
+                    reply = self.responder(decode_request(line.decode("ascii")))
+                    if not reply.endswith("\n"):
+                        reply += "\n"
+                    data = reply.encode("ascii")
                 except Exception as exc:
-                    reply = f"ERR {exc}"
-                if not reply.endswith("\n"):
-                    reply += "\n"
+                    message = " ".join(str(exc).split())  # one line, whatever the message
+                    data = f"ERR {message}\n".encode("ascii", "backslashreplace")
                 try:
-                    conn.sendall(reply.encode("ascii"))
+                    conn.sendall(data)
                 except OSError:
                     return
 

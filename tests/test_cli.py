@@ -1,5 +1,6 @@
 import json
 import hashlib
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +68,15 @@ class TestParametric:
         manifest = json.loads(read(out / "manifest.json"))
         digest = hashlib.sha256((out / "config.json").read_bytes()).hexdigest()
         assert manifest["config_digest"] == digest
+
+    @pytest.mark.parametrize("command", ["parametric", "optimize"])
+    def test_manifest_records_the_argv_main_parsed(self, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(sys, "argv", ["caller.py", "--out", "elsewhere"])
+        argv = [command, "--out", str(tmp_path / "run"), "--seed", "4"]
+        if command == "optimize":
+            argv += ["--runs", "1", "--iterations", "3", "--particles", "4"]
+        assert main(argv) == 0
+        assert json.loads(read(tmp_path / "run" / "manifest.json"))["argv"] == argv
 
     def test_unwritable_out_dir_fails_nonzero(self, tmp_path, capsys):
         # a path through a regular file can never be created
@@ -183,6 +193,14 @@ class TestExternalPlantEndToEnd:
         out = capsys.readouterr().out
         ja_star = float(next(l for l in out.splitlines() if l.startswith("J_a*")).split("=")[1])
         assert ja_star == pytest.approx(-0.91, abs=0.02)
+
+    def test_non_finite_reply_is_plant_error(self, capsys):
+        nan_reply = "MEAS " + " ".join(["nan"] * 42) + " 0.0"
+        with PlantServer(lambda pattern: nan_reply) as server:
+            rc = main(["evaluate", "--pattern", ALL_OFF,
+                       "--plant", f"external:{server.host}:{server.port}"])
+        assert rc == 4
+        assert "finite" in capsys.readouterr().err
 
     def test_unreachable_endpoint_is_plant_error(self, capsys):
         rc = main(["evaluate", "--pattern", ALL_OFF, "--plant", "external:127.0.0.1:1"])

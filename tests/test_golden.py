@@ -15,7 +15,6 @@ compared without their timestamps.
 import csv
 import hashlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -78,19 +77,12 @@ EMBEDDING_SUMSQ = (3914.566766381392, 1979.3433847496535)
 EMBEDDING_TOL = 1e-8
 
 
-def _run(argv, monkeypatch):
-    # The console entry point calls main() with sys.argv set to the command line.
-    monkeypatch.setattr(sys, "argv", ["rampopt", *argv])
-    assert main(argv) == 0
-
-
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
-    with pytest.MonkeyPatch.context() as mp:
-        _run(PARAMETRIC + ["--out", str(out / "par")], mp)
-        _run(OPTIMIZE + ["--out", str(out / "opt")], mp)
-        _run(["analyze", "--run-dir", str(out / "opt"), "--out", str(out / "ana")], mp)
+    assert main(PARAMETRIC + ["--out", str(out / "par")]) == 0
+    assert main(OPTIMIZE + ["--out", str(out / "opt")]) == 0
+    assert main(["analyze", "--run-dir", str(out / "opt"), "--out", str(out / "ana")]) == 0
     return out
 
 

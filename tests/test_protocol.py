@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -53,6 +54,12 @@ class TestWireFormat:
     def test_unknown_record_is_malformed(self):
         with pytest.raises(MalformedResponseError):
             decode_response("BOGUS 1 2 3\n")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_pressure_is_malformed(self, bad):
+        values = " ".join(["0.0"] * 41 + [bad])
+        with pytest.raises(MalformedResponseError, match="finite"):
+            decode_response(f"MEAS {values} 0.0\n")
 
     def test_wrong_tap_count_is_dimension_mismatch(self):
         values = " ".join(["0.0"] * 41)
@@ -129,6 +136,31 @@ class TestLoopback:
             assert not stopper.is_alive()
             with pytest.raises(ProtocolError):
                 client.evaluate(ActuationPattern.all_off())
+
+    @pytest.mark.parametrize("request_line, responder_reply", [
+        (b"EVAL \xff\xfe\n", None),  # request that is not ASCII
+        (encode_request(ActuationPattern.all_off()).encode("ascii"), "MEAS caf\u00e9"),
+    ], ids=["non_ascii_request", "non_ascii_reply"])
+    def test_bad_bytes_get_one_err_line_and_serving_continues(
+            self, clean_plant, request_line, responder_reply):
+        good = surrogate_responder(clean_plant)
+        replies = iter([responder_reply])  # only the first call may misbehave
+
+        def respond(pattern):
+            reply = next(replies, None)
+            return reply if reply is not None else good(pattern)
+
+        valid = encode_request(ActuationPattern.from_rows((1,), 4)).encode("ascii")
+        with PlantServer(respond) as server:
+            with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(request_line)
+                assert reader.readline().startswith(b"ERR ")
+                sock.sendall(valid)
+                assert reader.readline().startswith(b"MEAS ")
+                reader.close()
+            with ExternalPlant(server.host, server.port, timeout=5.0) as client:
+                assert client.fitness(None, ActuationPattern.all_off()) == 0.0
 
     def test_responder_exception_becomes_remote_error(self):
         def broken(pattern):
