@@ -137,28 +137,31 @@ class TestLoopback:
             with pytest.raises(ProtocolError):
                 client.evaluate(ActuationPattern.all_off())
 
-    @pytest.mark.parametrize("request_line, responder_reply", [
+    @pytest.mark.parametrize("request_line, first_reply", [
         (b"EVAL \xff\xfe\n", None),  # request that is not ASCII
         (encode_request(ActuationPattern.all_off()).encode("ascii"), "MEAS caf\u00e9"),
-    ], ids=["non_ascii_request", "non_ascii_reply"])
+        (encode_request(ActuationPattern.all_off()).encode("ascii"),
+         RuntimeError("two-line\nmessage, caf\u00e9")),
+    ], ids=["non_ascii_request", "non_ascii_reply", "multi_line_error"])
     def test_bad_bytes_get_one_err_line_and_serving_continues(
-            self, clean_plant, request_line, responder_reply):
+            self, clean_plant, request_line, first_reply):
         good = surrogate_responder(clean_plant)
-        replies = iter([responder_reply])  # only the first call may misbehave
+        replies = iter([first_reply])  # only the first call may misbehave
 
         def respond(pattern):
             reply = next(replies, None)
+            if isinstance(reply, Exception):
+                raise reply
             return reply if reply is not None else good(pattern)
 
         valid = encode_request(ActuationPattern.from_rows((1,), 4)).encode("ascii")
         with PlantServer(respond) as server:
-            with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
-                reader = sock.makefile("rb")
+            with (socket.create_connection((server.host, server.port), timeout=5.0) as sock,
+                  sock.makefile("rb") as reader):
                 sock.sendall(request_line)
                 assert reader.readline().startswith(b"ERR ")
                 sock.sendall(valid)
                 assert reader.readline().startswith(b"MEAS ")
-                reader.close()
             with ExternalPlant(server.host, server.port, timeout=5.0) as client:
                 assert client.fitness(None, ActuationPattern.all_off()) == 0.0
 
