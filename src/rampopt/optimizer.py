@@ -274,8 +274,6 @@ class Swarm:
         self.velocities = (rng.random((p, d)) * 2.0 - 1.0) * 0.1 * (hi - lo)
         self.pbest_positions = self.positions.copy()
         self.pbest_fitness = np.full(p, np.inf)
-        self.fitness = np.full(p, np.nan)
-        self.labels = np.full(p, ParticleClass.FAIR, dtype=np.int8)
         self.bad_streaks = np.zeros(p, dtype=np.int64)
         self.gbest_position = self.positions[0].copy()
         self.gbest_fitness = np.inf
@@ -345,7 +343,6 @@ def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
     except Exception as exc:  # surface the cause with iteration context
         raise EvaluationError(f"plant evaluation failed at iteration {iteration}: {exc}",
                               iteration=iteration) from exc
-    swarm.fitness = fitness
     improved = fitness < swarm.pbest_fitness
     swarm.pbest_fitness = np.where(improved, fitness, swarm.pbest_fitness)
     swarm.pbest_positions[improved] = swarm.positions[improved]
@@ -367,7 +364,6 @@ def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
         labels = np.full(p, ParticleClass.FAIR, dtype=np.int8)
         swarm.bad_streaks[:] = 0
         overdue = np.zeros(p, dtype=bool)
-    swarm.labels = labels
 
     r1 = swarm.rng.random((p, N_DIMENSIONS))
     r2 = swarm.rng.random((p, N_DIMENSIONS))
