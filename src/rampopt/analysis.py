@@ -11,51 +11,43 @@ import numpy as np
 class Embedding:
     """Two-dimensional proximity map from classical multidimensional scaling.
 
-    coordinates       : (n, 2), centered; axes ordered by eigenvalue
-    eigenvalues       : full spectrum of the centered Gram matrix, descending
-    point_ids         : caller-supplied identifiers, one per point
-    negative_retained : True when a retained eigenvalue is negative (the
-                        distance data was not exactly Euclidean)
+    coordinates : (n, 2), centered; axes ordered by eigenvalue, each axis
+                  signed so that its largest-magnitude entry is positive
+    eigenvalues : (n,) spectrum of the centered Gram matrix, descending: the
+                  squared singular values of the centered points, padded
+                  with zeros (past the rank of the points it is exactly zero)
+    point_ids   : caller-supplied identifiers, one per point
     """
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
     point_ids: np.ndarray
-    negative_retained: bool
 
 
 def classical_mds(points, target_dim: int = 2, point_ids=None) -> Embedding:
-    """Embed points in target_dim dimensions via the double-centered Gram matrix.
+    """Embed points in target_dim dimensions by classical MDS.
 
-    Squared pairwise distances are double-centered, eigendecomposed, and the
-    top eigenpairs scaled by sqrt(eigenvalue) give the coordinates.  Negative
-    eigenvalues are truncated to zero for coordinates but reported.
+    For Euclidean distances between points, classical MDS is PCA of the
+    centered points (Gower 1966): with the thin SVD centered = U S V^T, the
+    centered Gram matrix is U S^2 U^T, so the coordinates are the leading
+    columns of U S.  This needs no n x n matrix.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
         raise ValueError("need at least 3 points of equal dimensionality")
     n = x.shape[0]
-    sq = np.sum(x**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    d2 = np.maximum(d2, 0.0)
-    row = d2.mean(axis=1)
-    gram = -0.5 * (d2 - row[:, None] - row[None, :] + row.mean())
-    evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    top = evals[:target_dim]
-    coords = evecs[:, :target_dim] * np.sqrt(np.maximum(top, 0.0))[None, :]
-    coords = coords - coords.mean(axis=0, keepdims=True)
+    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    k = min(target_dim, len(s))
+    coords = np.zeros((n, target_dim))
+    coords[:, :k] = u[:, :k] * s[:k]
+    # An SVD fixes each axis only up to sign; make the largest-magnitude entry positive.
+    largest = coords[np.argmax(np.abs(coords), axis=0), np.arange(target_dim)]
+    coords *= np.where(largest < 0, -1.0, 1.0)
+    eigenvalues = np.zeros(n)
+    eigenvalues[:len(s)] = s**2
     if point_ids is None:
         point_ids = np.arange(n)
-    return Embedding(
-        coordinates=coords,
-        eigenvalues=evals,
-        point_ids=np.asarray(point_ids),
-        negative_retained=bool(np.any(top < 0)),
-    )
+    return Embedding(coordinates=coords, eigenvalues=eigenvalues, point_ids=np.asarray(point_ids))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -29,7 +30,9 @@ from .patterns import (
     ActuationPattern,
     EncodingError,
     active_fraction,
+    format_patterns,
     mean_height_ratio,
+    parse_patterns,
     rescale_many,
 )
 from .plant import (
@@ -50,6 +53,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONTRACT = 3
 EXIT_PLANT = 4
+
+LEDGER_HEADER = ["run", "iteration", "particle", "pattern", "fitness", "label"]
+# cmd_analyze parses ledger patterns this many rows at a time.
+LEDGER_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -224,14 +231,15 @@ def _write_campaign(out: Path, campaign, stride: int | None) -> list[str]:
             f"iteration {curve.best_iteration}\n"
         )
         outputs.append(pat.name)
-    ledger_rows = []
-    for k, curve in enumerate(campaign.curves):
-        led = curve.ledger
-        for i in range(len(led)):
-            ledger_rows.append((k, int(led.iteration[i]), int(led.particle[i]),
-                                led.pattern(i).to_text(), led.fitness[i], int(led.label[i])))
-    _write_csv(out / "ledger.csv",
-               ["run", "iteration", "particle", "pattern", "fitness", "label"], ledger_rows)
+    with (out / "ledger.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LEDGER_HEADER)
+        for k, curve in enumerate(campaign.curves):
+            led = curve.ledger
+            # tolist() gives Python ints and floats, which csv writes as _fmt does.
+            writer.writerows(zip(itertools.repeat(k), led.iteration.tolist(),
+                                 led.particle.tolist(), format_patterns(led.heights, led.actives),
+                                 led.fitness.tolist(), led.label.tolist()))
     outputs.append("ledger.csv")
     _write_csv(out / "envelope.csv", ["iteration", "env_min", "env_max"],
                [(i + 1, campaign.envelope_min[i], campaign.envelope_max[i])
@@ -322,6 +330,41 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _read_ledger(path: Path):
+    """Run numbers, (n, 30) int8 heights and actives, and fitness of a ledger.csv.
+
+    Every row is checked.  A wrong header, field count, run number or fitness
+    raises EncodingError naming the line; a bad pattern raises the
+    EncodingError of ``parse_patterns``.
+    """
+    runs, fitness, blocks, texts = [], [], [], []
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != LEDGER_HEADER:
+            raise EncodingError(f"{path} line 1: expected header {','.join(LEDGER_HEADER)}, "
+                                f"got {header}")
+        for row in reader:
+            if len(row) != len(LEDGER_HEADER):
+                raise EncodingError(f"{path} line {reader.line_num}: expected "
+                                    f"{len(LEDGER_HEADER)} fields, got {len(row)}")
+            try:
+                runs.append(int(row[0]))
+                fitness.append(float(row[4]))
+            except ValueError:
+                raise EncodingError(f"{path} line {reader.line_num}: run {row[0]!r} and fitness "
+                                    f"{row[4]!r} must be numbers") from None
+            texts.append(row[3])
+            if len(texts) == LEDGER_BLOCK_ROWS:
+                blocks.append(parse_patterns(texts))
+                texts = []
+    if not runs:
+        raise EncodingError(f"{path} holds no evaluations")
+    blocks.append(parse_patterns(texts))
+    heights, actives = (np.concatenate(b) for b in zip(*blocks))
+    return np.asarray(runs), heights, actives, np.asarray(fitness)
+
+
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run_dir)
     out = Path(args.out) if args.out else run_dir
@@ -330,21 +373,12 @@ def cmd_analyze(args) -> int:
 
     ledger_path = run_dir / "ledger.csv"
     if ledger_path.exists():
-        runs, patterns, fitness = [], [], []
-        with ledger_path.open() as fh:
-            for row in csv.DictReader(fh):
-                runs.append(int(row["run"]))
-                patterns.append(ActuationPattern.from_text(row["pattern"]))
-                fitness.append(float(row["fitness"]))
-        runs = np.asarray(runs)
-        fitness = np.asarray(fitness)
+        runs, heights, actives, fitness = _read_ledger(ledger_path)
         best_run = int(np.argmin([fitness[runs == r].min() for r in np.unique(runs)]))
         mask = np.flatnonzero(runs == best_run)
         stride = args.mds_stride or max(1, -(-len(mask) // 2000))
         idx = mask[::stride]
-        heights = np.array([patterns[i].heights for i in idx], dtype=np.int8)
-        actives = np.array([patterns[i].actives for i in idx], dtype=np.int8)
-        emb = classical_mds(rescale_many(heights, actives), point_ids=idx)
+        emb = classical_mds(rescale_many(heights[idx], actives[idx]), point_ids=idx)
         _write_csv(out / "embedding.csv", ["point_id", "gamma1", "gamma2", "fitness"],
                    [(int(i), emb.coordinates[j, 0], emb.coordinates[j, 1], fitness[int(i)])
                     for j, i in enumerate(idx)])

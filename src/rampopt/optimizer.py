@@ -248,7 +248,6 @@ class LearningCurve:
     best_fitness: float
     best_pattern: ActuationPattern
     ledger: EvaluationLedger
-    run_seed_entropy: int
 
 
 @dataclass
@@ -395,8 +394,6 @@ def step(swarm: Swarm, plant, config: SwarmConfig, iteration: int,
 def run(plant, config: SwarmConfig, run_seed: np.random.SeedSequence | int,
         run_index: int | None = None) -> LearningCurve:
     """One full optimization from a dedicated seed; records the ledger."""
-    if isinstance(run_seed, (int, np.integer)):
-        run_seed = np.random.SeedSequence(int(run_seed))
     rng = np.random.default_rng(run_seed)
     eval_seed_base = int(rng.integers(0, 2**48))
     swarm = Swarm(config, rng)
@@ -435,7 +432,6 @@ def run(plant, config: SwarmConfig, run_seed: np.random.SeedSequence | int,
         best_fitness=float(swarm.gbest_fitness),
         best_pattern=swarm.gbest_pattern,
         ledger=ledger,
-        run_seed_entropy=int(np.asarray(run_seed.entropy).ravel()[0]) if run_seed.entropy is not None else 0,
     )
 
 

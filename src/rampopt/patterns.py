@@ -9,6 +9,7 @@ row-major order) which is clamped and rounded to the nearest legal level.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,7 @@ class ActuationPattern:
         return cls.from_vector(values)
 
     def to_text(self) -> str:
-        return ",".join(str(v) for v in self.heights + self.actives)
+        return format_patterns([self.heights], [self.actives])[0]
 
     def heights_array(self) -> np.ndarray:
         return np.array(self.heights, dtype=np.int64)
@@ -164,6 +165,61 @@ def effective_pattern(p: ActuationPattern) -> EffectivePattern:
     """Suppress jets on actuators whose height is zero; heights unchanged."""
     actives = tuple(a if h > 0 else 0 for h, a in zip(p.heights, p.actives))
     return EffectivePattern(heights=p.heights, actives=actives)
+
+
+# A canonical text record is the 60 single digits joined by commas.
+_RECORD_CHARS = 2 * N_DIMENSIONS - 1
+_ZERO, _COMMA, _NEWLINE = ord("0"), ord(","), ord("\n")
+_LARGEST = np.array([HEIGHT_LEVELS[-1]] * N_ACTUATORS + [1] * N_ACTUATORS, dtype=np.uint64)
+
+
+def format_patterns(heights, actives) -> list[str]:
+    """Text records of an (n, 30) height block and an (n, 30) jet block.
+
+    One record per row: the 30 heights, then the 30 jet flags, joined by
+    commas.  ``ActuationPattern.to_text`` is the one-row case.
+    """
+    h, a = np.asarray(heights), np.asarray(actives)
+    if h.ndim != 2 or h.shape[1] != N_ACTUATORS or a.shape != h.shape:
+        raise EncodingError(f"heights and actives must both have shape (n, {N_ACTUATORS}), "
+                            f"got {h.shape} and {a.shape}")
+    values = np.concatenate([h, a], axis=1)
+    # Casting wraps negative integers past every bound.
+    if values.dtype.kind not in "iu" or (values.astype(np.uint64) > _LARGEST).any():
+        raise EncodingError(f"heights must be integers in {HEIGHT_LEVELS} and actives in (0, 1)")
+    buf = np.full((len(values), _RECORD_CHARS + 1), _COMMA, dtype=np.uint8)
+    buf[:, :_RECORD_CHARS:2] = values + _ZERO
+    buf[:, _RECORD_CHARS] = _NEWLINE
+    return buf.tobytes().decode("ascii").split("\n")[:-1]
+
+
+def parse_patterns(texts) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 30) int8 heights and jet flags of a sequence of n text records.
+
+    Canonical records (as ``format_patterns`` writes them) are checked and
+    decoded in bulk.  Every other record goes through
+    ``ActuationPattern.from_text`` in row order, so its lenient forms (such
+    as ``" 1"`` or ``"01"``) are still accepted and the first invalid record
+    raises the EncodingError that ``from_text`` raises for it.
+    """
+    texts = list(texts)
+    canonical = np.fromiter((len(t) == _RECORD_CHARS for t in texts), dtype=bool, count=len(texts))
+    rows = np.flatnonzero(canonical)
+    # latin-1 with "replace" keeps one byte per character; a replaced
+    # character becomes "?", which fails the digit check below.
+    joined = "".join(itertools.compress(texts, canonical)).encode("latin-1", "replace")
+    raw = np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), _RECORD_CHARS)
+    digits = raw[:, ::2] - np.uint8(_ZERO)  # wraps below "0", so one upper bound suffices
+    valid = (np.all(raw[:, 1::2] == _COMMA, axis=1)
+             & np.all(digits[:, :N_ACTUATORS] <= HEIGHT_LEVELS[-1], axis=1)
+             & np.all(digits[:, N_ACTUATORS:] <= 1, axis=1))
+    values = np.empty((len(texts), N_DIMENSIONS), dtype=np.int8)
+    values[rows] = digits
+    canonical[rows[~valid]] = False
+    for i in np.flatnonzero(~canonical):
+        p = ActuationPattern.from_text(texts[i])
+        values[i] = p.heights + p.actives
+    return values[:, :N_ACTUATORS], values[:, N_ACTUATORS:]
 
 
 def _default_lower() -> np.ndarray:

@@ -4,7 +4,9 @@ Request :  ``EVAL <60 comma-separated integers>``  (30 heights, 30 jet flags)
 Response:  ``MEAS <42 space-separated pressures in Pa> <p0>``  or  ``ERR <message>``
 
 One request is in flight at a time; a real plant actuates on every request,
-so failed evaluations are never silently retried.
+so failed evaluations are never silently retried.  Both sides read at most
+MAX_LINE_BYTES per line, newline included, so a peer that never ends its line
+cannot grow the reader's buffer without bound.
 """
 
 from __future__ import annotations
@@ -22,6 +24,17 @@ from .plant import (
     cost_ja,
     cost_ja_star,
 )
+
+
+# About four times the longest valid reply: 43 float reprs of up to 24 characters.
+MAX_LINE_BYTES = 4096
+
+
+def _read_line(reader) -> tuple[bytes, bool]:
+    """The next line of a binary reader, at most MAX_LINE_BYTES long, and
+    whether it was cut there (it has more bytes before its newline)."""
+    line = reader.readline(MAX_LINE_BYTES)
+    return line, len(line) == MAX_LINE_BYTES and not line.endswith(b"\n")
 
 
 class ProtocolError(RuntimeError):
@@ -97,8 +110,9 @@ class ExternalPlant:
 
     Strictly serial: the client is owned by one logical task and rejects
     overlapping evaluations.  After a timeout the late reply may still
-    arrive and would be read as the answer to the next request, so every
-    later use raises ProtocolError; open a new client instead.
+    arrive, and after an overlong reply its unread rest is still due; either
+    would be read as the answer to the next request, so every later use
+    raises ProtocolError; open a new client instead.
     """
 
     discrete_fitness = True
@@ -118,9 +132,9 @@ class ExternalPlant:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except (OSError, socket.timeout) as exc:
             raise ProtocolError(f"cannot reach plant at {host}:{port}: {exc}") from exc
-        self._reader = self._sock.makefile("r", encoding="ascii", newline="\n")
+        self._reader = self._sock.makefile("rb")
         self._gate = threading.Lock()
-        self._timed_out = False
+        self._unusable: str | None = None  # why the stream lost its framing
         self._baseline_ja: float | None = None
 
     def close(self) -> None:
@@ -140,18 +154,25 @@ class ExternalPlant:
         if not self._gate.acquire(blocking=False):
             raise ConcurrentEvaluationError("an evaluation is already in flight")
         try:
-            if self._timed_out:
-                raise ProtocolError("connection unusable after an earlier timeout; "
+            if self._unusable:
+                raise ProtocolError(f"connection unusable after {self._unusable}; "
                                     "open a new connection")
             try:
                 self._sock.sendall(encode_request(pattern).encode("ascii"))
-                line = self._reader.readline()
+                line, cut = _read_line(self._reader)
             except (socket.timeout, TimeoutError) as exc:
-                self._timed_out = True
+                self._unusable = "an earlier timeout"
                 raise PlantTimeoutError(f"no response within {self.timeout} s") from exc
             except OSError as exc:
                 raise ProtocolError(f"connection failed: {exc}") from exc
-            return decode_response(line)
+            if cut:
+                self._unusable = "an overlong reply"
+                raise MalformedResponseError(f"reply longer than {MAX_LINE_BYTES} bytes")
+            try:
+                text = line.decode("ascii")
+            except UnicodeDecodeError:
+                raise MalformedResponseError(f"reply is not ASCII: {line[:80]!r}") from None
+            return decode_response(text)
         finally:
             self._gate.release()
 
@@ -242,18 +263,26 @@ class PlantServer:
     def _serve_connection(self, conn: socket.socket) -> None:
         """Answer requests until the client closes or stop() shuts it down.
 
-        A request that is not ASCII, a responder that raises and a reply that
-        is not ASCII text each get one ERR line; the connection stays served.
+        A request that is not ASCII or longer than MAX_LINE_BYTES, a responder
+        that raises and a reply that is not ASCII text each get one ERR line;
+        the connection stays served.  The rest of an overlong request is read
+        and dropped before its ERR line is sent.
         """
         with conn.makefile("rb") as reader:
             while True:
                 try:
-                    line = reader.readline()
+                    line, overlong = _read_line(reader)
+                    cut = overlong
+                    while cut:  # drop the rest of an overlong line
+                        _, cut = _read_line(reader)
                 except OSError:
                     return
                 if not line:
                     return
                 try:
+                    if overlong:
+                        raise MalformedResponseError(
+                            f"request line longer than {MAX_LINE_BYTES} bytes")
                     reply = self.responder(decode_request(line.decode("ascii")))
                     if not reply.endswith("\n"):
                         reply += "\n"

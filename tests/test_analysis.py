@@ -87,13 +87,52 @@ class TestClassicalMds:
         b = classical_mds(x[perm])
         assert procrustes_residual(a.coordinates[perm], b.coordinates) < 1e-8
 
-    def test_negative_eigenvalues_reported(self):
-        # A non-Euclidean dissimilarity pattern is hard to build from raw
-        # points, so spot-check the flag stays False on genuine point data.
+    def test_spectrum_is_non_negative_and_zero_padded(self):
+        # 10 points in 5 dimensions: the centered Gram matrix has rank 5.
         rng = np.random.default_rng(5)
-        emb = classical_mds(rng.normal(size=(10, 5)))
-        assert emb.negative_retained is False
-        assert len(emb.eigenvalues) == 10
+        x = rng.normal(size=(10, 5))
+        emb = classical_mds(x)
+        assert emb.eigenvalues.shape == (10,)
+        assert np.all(emb.eigenvalues[:5] > 0)
+        assert np.all(emb.eigenvalues[5:] == 0.0)
+        assert np.all(np.diff(emb.eigenvalues) <= 0)
+        centered = x - x.mean(axis=0)
+        assert emb.eigenvalues.sum() == pytest.approx(np.sum(centered**2), rel=1e-12)
+
+    @pytest.mark.parametrize("n_points, dim", [(40, 60), (200, 60), (30, 3)])
+    def test_matches_gram_eigendecomposition(self, n_points, dim):
+        rng = np.random.default_rng(n_points + dim)
+        x = rng.normal(size=(n_points, dim)) * rng.uniform(0.5, 3.0, size=dim)
+        emb = classical_mds(x)
+        # Reference: double-centred squared distances, eigendecomposed.
+        d2 = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        centring = np.eye(n_points) - 1.0 / n_points
+        evals, evecs = np.linalg.eigh(-0.5 * centring @ d2 @ centring)
+        evals, evecs = evals[::-1], evecs[:, ::-1]
+        rank = min(n_points - 1, dim)
+        assert emb.eigenvalues[:rank] == pytest.approx(evals[:rank], rel=1e-9)
+        reference = evecs[:, :2] * np.sqrt(evals[:2])
+        sign = np.sign(np.sum(emb.coordinates * reference, axis=0))
+        np.testing.assert_allclose(emb.coordinates, reference * sign, rtol=0, atol=1e-8)
+
+    def test_axis_sign_is_deterministic(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(50, 60))
+        emb = classical_mds(x)
+        columns = np.arange(2)
+        largest = emb.coordinates[np.argmax(np.abs(emb.coordinates), axis=0), columns]
+        assert np.all(largest > 0)
+        # A reflection of the points flips every singular vector; the map stays.
+        np.testing.assert_allclose(classical_mds(-x).coordinates, emb.coordinates,
+                                   rtol=0, atol=1e-12)
+        assert np.array_equal(classical_mds(x).coordinates, emb.coordinates)
+
+    def test_points_of_lower_dimension_than_the_map(self):
+        x = np.arange(5.0)[:, None]
+        emb = classical_mds(x)
+        assert emb.coordinates.shape == (5, 2)
+        np.testing.assert_allclose(np.abs(emb.coordinates[:, 0]), [2, 1, 0, 1, 2], atol=1e-12)
+        assert np.all(emb.coordinates[:, 1] == 0.0)
 
 
 snapshot_sets = arrays(

@@ -1,3 +1,4 @@
+import csv
 import json
 import hashlib
 import sys
@@ -182,6 +183,31 @@ class TestAnalyze:
 
     def test_empty_run_dir_is_input_error(self, tmp_path):
         assert main(["analyze", "--run-dir", str(tmp_path / "void")]) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[2].__setitem__(4, "fast"), "line 3: run '0' and fitness 'fast'"),
+        (lambda rows: rows[3].__setitem__(0, "one"), "line 4: run 'one'"),
+        (lambda rows: [row.pop(3) for row in rows], "line 1: expected header"),
+        (lambda rows: rows[4].pop(), "line 5: expected 6 fields, got 5"),
+        (lambda rows: rows[5].__setitem__(3, rows[5][3].replace("0", "7", 1)), "not in"),
+        (lambda rows: rows[5].__setitem__(3, "1,2,3"), "got 3"),
+        (lambda rows: rows.__delitem__(slice(1, None)), "holds no evaluations"),
+    ], ids=["non_numeric_fitness", "non_numeric_run", "no_pattern_column",
+            "wrong_field_count", "bad_pattern", "short_pattern", "no_rows"])
+    def test_malformed_ledger_is_input_error(self, tmp_path, capsys, edit, message):
+        run_dir = tmp_path / "run"
+        assert main(["optimize", "--out", str(run_dir), "--seed", "2", "--runs", "1",
+                     "--iterations", "3", "--particles", "4"]) == 0
+        ledger = run_dir / "ledger.csv"
+        with ledger.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with ledger.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert main(["analyze", "--run-dir", str(run_dir), "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
 
 
 class TestExternalPlantEndToEnd:

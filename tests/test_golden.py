@@ -6,9 +6,9 @@ artifact whose bits depend only on this package is pinned by its SHA-256
 digest, so a change that moves one output bit fails here.  A change that
 moves output bits on purpose updates the digests in the same commit.
 
-The embedding coordinates come from a LAPACK eigendecomposition, whose bits
-and eigenvector signs are not portable; they are checked against stored
-values with a tolerance, allowing one sign flip per axis.  Manifests are
+The embedding coordinates come from a LAPACK SVD, whose last bits are not
+portable; they are checked against stored values with a tolerance, allowing
+one sign flip per axis.  Manifests are
 compared without their timestamps.
 """
 

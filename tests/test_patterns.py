@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rampopt.patterns import (
     DEFAULT_BOUNDS,
@@ -14,7 +15,9 @@ from rampopt.patterns import (
     decode_position,
     decode_positions,
     effective_pattern,
+    format_patterns,
     mean_height_ratio,
+    parse_patterns,
     pattern_to_position,
     rescale_for_embedding,
 )
@@ -188,6 +191,90 @@ class TestSerialization:
     def test_out_of_range_level_rejected(self):
         with pytest.raises(EncodingError, match=r"height\[0\]"):
             ActuationPattern(heights=(5,) + (0,) * 29, actives=(0,) * 30)
+
+
+def reference_text(heights, actives) -> str:
+    """The record as a per-value join, independent of the block codec."""
+    return ",".join(str(int(v)) for v in list(heights) + list(actives))
+
+
+pattern_blocks = st.integers(0, 40).flatmap(lambda n: st.tuples(
+    arrays(np.int8, (n, N_ACTUATORS), elements=st.integers(0, 4)),
+    arrays(np.int8, (n, N_ACTUATORS), elements=st.integers(0, 1)),
+))
+
+
+def valid_records(n: int) -> list[str]:
+    rng = np.random.default_rng(n)
+    return format_patterns(rng.integers(0, 5, (n, N_ACTUATORS)),
+                           rng.integers(0, 2, (n, N_ACTUATORS)))
+
+
+def with_field(record: str, index: int, value: str) -> str:
+    fields = record.split(",")
+    fields[index] = value
+    return ",".join(fields)
+
+
+class TestBlockCodec:
+    @given(pattern_blocks)
+    def test_round_trip_and_rows_equal_to_text(self, block):
+        heights, actives = block
+        texts = format_patterns(heights, actives)
+        assert len(texts) == len(heights)
+        for h, a, text in zip(heights, actives, texts):
+            assert text == reference_text(h, a)
+            assert text == ActuationPattern(tuple(map(int, h)), tuple(map(int, a))).to_text()
+        parsed_h, parsed_a = parse_patterns(texts)
+        assert parsed_h.dtype == np.int8 and parsed_a.dtype == np.int8
+        assert np.array_equal(parsed_h, heights) and np.array_equal(parsed_a, actives)
+
+    @given(patterns)
+    def test_to_text_is_the_reference_join(self, p):
+        assert p.to_text() == reference_text(p.heights, p.actives)
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param(lambda r: with_field(r, 3, "5"), id="height_out_of_range"),
+        pytest.param(lambda r: with_field(r, 40, "2"), id="jet_out_of_range"),
+        pytest.param(lambda r: with_field(r, 7, "x"), id="not_a_digit"),
+        pytest.param(lambda r: r.replace(",", ";", 1), id="wrong_separator"),
+        pytest.param(lambda r: "\u00e9" + r[1:], id="latin_1"),
+        pytest.param(lambda r: r[:-1] + "\u4e00", id="beyond_latin_1"),
+        pytest.param(lambda r: r[:-2], id="too_few_fields"),
+        pytest.param(lambda r: with_field(r, 12, "-1"), id="negative"),
+        pytest.param(lambda r: r + ",0", id="too_many_fields"),
+        pytest.param(lambda r: with_field(r, 50, "1.0"), id="not_an_integer"),
+    ])
+    def test_first_bad_row_raises_the_from_text_error(self, bad):
+        texts = valid_records(300)
+        texts[117] = bad(texts[117])
+        texts[200] = "1,2,3"  # a later bad row must not win
+        with pytest.raises(EncodingError) as expected:
+            ActuationPattern.from_text(texts[117])
+        with pytest.raises(EncodingError) as got:
+            parse_patterns(texts)
+        assert str(got.value) == str(expected.value)
+
+    def test_lenient_records_are_parsed_like_from_text(self):
+        texts = valid_records(20)
+        texts[2] = " " + texts[2].replace(",", ", ") + "\n"
+        texts[5] = with_field(texts[5], 0, "01")
+        texts[9] = with_field(texts[9], 31, " 1 ")
+        texts[11] = with_field(texts[11], 4, "\u0663")  # int() reads other scripts' digits
+        heights, actives = parse_patterns(texts)
+        for i, text in enumerate(texts):
+            p = ActuationPattern.from_text(text)
+            assert tuple(heights[i]) == p.heights and tuple(actives[i]) == p.actives
+
+    @pytest.mark.parametrize("heights, actives", [
+        pytest.param(np.full((2, N_ACTUATORS), 5), np.zeros((2, N_ACTUATORS), int), id="height_5"),
+        pytest.param(np.zeros((2, N_ACTUATORS), int), np.full((2, N_ACTUATORS), -1), id="jet_-1"),
+        pytest.param(np.zeros((2, N_ACTUATORS)), np.zeros((2, N_ACTUATORS)), id="floats"),
+        pytest.param(np.zeros((2, 29), int), np.zeros((2, 29), int), id="29_columns"),
+    ])
+    def test_format_rejects_what_no_record_can_hold(self, heights, actives):
+        with pytest.raises(EncodingError):
+            format_patterns(heights, actives)
 
 
 class TestBounds:

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import threading
 import time
@@ -8,6 +9,7 @@ import pytest
 from rampopt.patterns import ActuationPattern
 from rampopt.plant import Measurement
 from rampopt.protocol import (
+    MAX_LINE_BYTES,
     ConcurrentEvaluationError,
     DimensionMismatchError,
     ExternalPlant,
@@ -139,10 +141,11 @@ class TestLoopback:
 
     @pytest.mark.parametrize("request_line, first_reply", [
         (b"EVAL \xff\xfe\n", None),  # request that is not ASCII
+        (b"EVAL " + b"0," * (3 * MAX_LINE_BYTES) + b"0\n", None),  # overlong request
         (encode_request(ActuationPattern.all_off()).encode("ascii"), "MEAS caf\u00e9"),
         (encode_request(ActuationPattern.all_off()).encode("ascii"),
          RuntimeError("two-line\nmessage, caf\u00e9")),
-    ], ids=["non_ascii_request", "non_ascii_reply", "multi_line_error"])
+    ], ids=["non_ascii_request", "overlong_request", "non_ascii_reply", "multi_line_error"])
     def test_bad_bytes_get_one_err_line_and_serving_continues(
             self, clean_plant, request_line, first_reply):
         good = surrogate_responder(clean_plant)
@@ -164,6 +167,35 @@ class TestLoopback:
                 assert reader.readline().startswith(b"MEAS ")
             with ExternalPlant(server.host, server.port, timeout=5.0) as client:
                 assert client.fitness(None, ActuationPattern.all_off()) == 0.0
+
+    @pytest.mark.parametrize("reply, message", [
+        (b"MEAS caf\xc3\xa9\n", "not ASCII"),
+        (b"MEAS " + b"1.0 " * MAX_LINE_BYTES + b"\n", "longer than"),
+    ], ids=["non_ascii_reply", "overlong_reply"])
+    def test_bad_reply_bytes_are_malformed(self, reply, message):
+        """A raw server answers every request line with the given bytes."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def serve():
+                conn, _ = listener.accept()
+                # A client closing with reply bytes unread resets the connection.
+                with conn, conn.makefile("rb") as reader, contextlib.suppress(OSError):
+                    while reader.readline():
+                        conn.sendall(reply)
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            with ExternalPlant(*listener.getsockname()[:2], timeout=5.0) as client:
+                with pytest.raises(MalformedResponseError, match=message):
+                    client.evaluate(ActuationPattern.all_off())
+                # An overlong reply leaves its rest unread; a non-ASCII one is whole.
+                if message == "longer than":
+                    with pytest.raises(ProtocolError, match="overlong reply"):
+                        client.evaluate(ActuationPattern.all_off())
+                else:
+                    with pytest.raises(MalformedResponseError, match=message):
+                        client.evaluate(ActuationPattern.all_off())
+            server.join(5.0)
+            assert not server.is_alive()
 
     def test_responder_exception_becomes_remote_error(self):
         def broken(pattern):
