@@ -14,8 +14,9 @@ class Embedding:
     coordinates : (n, 2), centered; axes ordered by eigenvalue, each axis
                   signed so that its largest-magnitude entry is positive
     eigenvalues : (n,) spectrum of the centered Gram matrix, descending: the
-                  squared singular values of the centered points, padded
-                  with zeros (past the rank of the points it is exactly zero)
+                  min(n, d) squared singular values of the centered (n, d)
+                  points, then zeros, which the Gram matrix (of rank at most
+                  d) has exactly
     point_ids   : caller-supplied identifiers, one per point
     """
 
