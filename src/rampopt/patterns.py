@@ -134,7 +134,8 @@ class ActuationPattern:
         return cls.from_vector(values)
 
     def to_text(self) -> str:
-        return format_patterns([self.heights], [self.actives])[0]
+        """The one-row case of ``format_patterns``; construction validated the values."""
+        return _format_records(np.array([self.heights + self.actives]))[0]
 
     def heights_array(self) -> np.ndarray:
         return np.array(self.heights, dtype=np.int64)
@@ -187,6 +188,11 @@ def format_patterns(heights, actives) -> list[str]:
     # Casting wraps negative integers past every bound.
     if values.dtype.kind not in "iu" or (values.astype(np.uint64) > _LARGEST).any():
         raise EncodingError(f"heights must be integers in {HEIGHT_LEVELS} and actives in (0, 1)")
+    return _format_records(values)
+
+
+def _format_records(values: np.ndarray) -> list[str]:
+    """Records of an (n, 60) block of valid levels and flags, one per row."""
     buf = np.full((len(values), _RECORD_CHARS + 1), _COMMA, dtype=np.uint8)
     buf[:, :_RECORD_CHARS:2] = values + _ZERO
     buf[:, _RECORD_CHARS] = _NEWLINE

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rampopt.patterns import ActuationPattern
 from rampopt.plant import Measurement
@@ -194,6 +195,44 @@ class TestLoopback:
                 else:
                     with pytest.raises(MalformedResponseError, match=message):
                         client.evaluate(ActuationPattern.all_off())
+            server.join(5.0)
+            assert not server.is_alive()
+
+    @settings(max_examples=60)
+    @given(st.binary(max_size=200).map(lambda b: b.replace(b"\n", b"")))
+    def test_any_request_bytes_get_one_reply_line(self, clean_plant, junk):
+        with PlantServer(surrogate_responder(clean_plant)) as server:
+            with (socket.create_connection((server.host, server.port), timeout=5.0) as sock,
+                  sock.makefile("rb") as reader):
+                sock.sendall(junk + b"\n")
+                assert reader.readline().split(b" ", 1)[0] in (b"ERR", b"MEAS")
+                sock.sendall(encode_request(ActuationPattern.all_off()).encode("ascii"))
+                assert reader.readline().startswith(b"MEAS ")
+
+    @settings(max_examples=60)
+    @given(st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from([b"MEAS", b"ERR", b"0.0", b"1e308", b"nan", b"-", b"\xff"]),
+                 max_size=50).map(b" ".join),
+    ).map(lambda b: b.replace(b"\n", b"") + b"\n"))
+    def test_any_reply_line_returns_or_raises_protocol_error(self, reply):
+        """A raw server answers the one request with the given line."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def serve():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as reader, contextlib.suppress(OSError):
+                    reader.readline()
+                    conn.sendall(reply)
+
+            server = threading.Thread(target=serve, daemon=True)
+            server.start()
+            with ExternalPlant(*listener.getsockname()[:2], timeout=5.0) as client:
+                try:
+                    measurement = client.evaluate(ActuationPattern.all_off())
+                except ProtocolError:
+                    pass
+                else:
+                    assert len(measurement.mean_pressure) == 42
             server.join(5.0)
             assert not server.is_alive()
 
