@@ -216,9 +216,7 @@ def parse_patterns(texts) -> tuple[np.ndarray, np.ndarray]:
     joined = "".join(itertools.compress(texts, canonical)).encode("latin-1", "replace")
     raw = np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), _RECORD_CHARS)
     digits = raw[:, ::2] - np.uint8(_ZERO)  # wraps below "0", so one upper bound suffices
-    valid = (np.all(raw[:, 1::2] == _COMMA, axis=1)
-             & np.all(digits[:, :N_ACTUATORS] <= HEIGHT_LEVELS[-1], axis=1)
-             & np.all(digits[:, N_ACTUATORS:] <= 1, axis=1))
+    valid = np.all(raw[:, 1::2] == _COMMA, axis=1) & np.all(digits <= _LARGEST, axis=1)
     values = np.empty((len(texts), N_DIMENSIONS), dtype=np.int8)
     values[rows] = digits
     canonical[rows[~valid]] = False
